@@ -7,8 +7,9 @@ update streams (:class:`ShardRouter`), the coordinator that runs one
 view-tree engine per shard on an executor and merges outputs and
 statistics (:class:`ShardedEngine`), and the persistent shard-worker
 runtime for ``executor="process"`` (:mod:`repro.shard.worker`): worker
-processes that keep shard state resident and exchange only sub-batch
-deltas and stats increments with the coordinator.
+processes that keep shard state resident and exchange only their
+slices of each coalesced batch (as columns) and stats increments with
+the coordinator.
 """
 
 from .engine import ShardedEngine
@@ -22,8 +23,8 @@ from .worker import (
     ShardWorkerError,
     ShardWorkerPool,
     ShardWorkerSpec,
-    decode_batch,
-    encode_batch,
+    decode_columns,
+    encode_columns,
 )
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
     "ShardWorkerSpec",
     "ShardedEngine",
     "choose_shard_variable",
-    "decode_batch",
-    "encode_batch",
+    "decode_columns",
+    "encode_columns",
     "stable_hash",
 ]

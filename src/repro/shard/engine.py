@@ -8,6 +8,17 @@ updates route through the :class:`~repro.shard.router.ShardRouter`
 (owned updates to one shard, broadcast updates to all), and shard
 maintenance runs on a ``concurrent.futures`` executor.
 
+A commit (:meth:`ShardedEngine.apply_batch`) is one columnar pipeline
+for every executor: the batch is coalesced once, straight into
+per-relation key/payload columns
+(:func:`~repro.data.columnar.coalesce_columnar`); each base table takes
+one bulk ``Relation.add_delta``; :meth:`ShardRouter.split` partitions
+the columns by shard (hashing each distinct shard-variable value at
+most once, not at all for one shard; broadcast columns go to every
+shard unchanged); and each shard applies its slice with
+:meth:`~repro.viewtree.engine.ViewTreeEngine.apply_column_batch`.  No
+per-update objects are rebuilt along the way.
+
 Why merging is exact (not approximate): the shard variable lives in one
 connected component of the query, and every atom binding it partitions
 by its value.  A join-output tuple with shard-variable value ``v`` can
@@ -29,13 +40,13 @@ Executors:
 * ``"process"`` — persistent shard workers (:mod:`repro.shard.worker`):
   each worker process is spawned once, builds its shard engine locally
   from a small pickled spec, and keeps all view state resident.  Per
-  commit the coordinator ships only the coalesced, router-split
-  sub-batch (columnar encoding, numpy payload buffers as raw bytes)
-  and receives a stats *delta* — IPC cost scales with the batch, never
-  with accumulated view state.  Reads (``lookup`` routed to the owner
-  shard, ``enumerate``/``scalar`` streamed in chunks,
-  ``publish_epoch`` as a barrier) ride the same pipe protocol, so the
-  coordinator holds no engine replicas at all.  The previous
+  commit the coordinator ships each worker only its slice of the
+  coalesced columns (numpy payload buffers as raw bytes), which the
+  worker applies as columns, and receives a stats *delta* — IPC cost
+  scales with the batch, never with accumulated view state.  Reads
+  (``lookup`` routed to the owner shard, ``enumerate``/``scalar``
+  streamed in chunks, ``publish_epoch`` as a barrier) ride the same
+  pipe protocol, so the coordinator holds no engine replicas at all.  The previous
   ship-the-whole-engine-per-batch path survives behind
   ``ipc="pickle-engine"`` as the differential oracle.
 * ``"serial"`` — no pool; useful for debugging and differential tests.
@@ -44,9 +55,10 @@ Observability: every shard engine carries its own
 :class:`~repro.obs.MaintenanceStats` recorder (recorders merge
 associatively — that is what makes per-shard recording sound), and the
 coordinator's own recorder — attached via ``attach_stats`` like any
-other engine — captures logical update latency and merged enumeration
-delay.  :meth:`merged_stats` folds everything into one recorder with
-per-shard labels.
+other engine — captures logical update latency, merged enumeration
+delay, and the batch coalescing counts (recorded once per commit, where
+the coalescing happens).  :meth:`merged_stats` folds everything into one
+recorder with per-shard labels.
 """
 
 from __future__ import annotations
@@ -56,10 +68,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Iterator
 
+from ..data.columnar import coalesce_columnar
 from ..data.database import Database
 from ..data.relation import Relation
 from ..data.schema import Schema
-from ..data.update import Update, coalesce
+from ..data.update import Update
 from ..obs import MaintenanceStats, Observable, observed, observed_enumeration
 from ..query.ast import Query
 from ..query.variable_order import VariableOrder, order_for
@@ -82,16 +95,16 @@ from .worker import (
     ShardWorkerError,
     ShardWorkerPool,
     ShardWorkerSpec,
-    encode_batch,
+    encode_columns,
 )
 
 _EXECUTORS = ("serial", "thread", "process")
 _IPC_MODES = ("delta", "pickle-engine")
 
 
-def _apply_shard_batch(engine: ViewTreeEngine, batch, rebuild_factor):
-    """Process-pool worker: apply a sub-batch and return the engine."""
-    engine.apply_batch(batch, update_base=False, rebuild_factor=rebuild_factor)
+def _apply_shard_columns(engine: ViewTreeEngine, columns, rebuild_factor):
+    """Process-pool worker: apply one shard's columns, return the engine."""
+    engine.apply_column_batch(columns, rebuild_factor)
     return engine
 
 
@@ -433,58 +446,66 @@ class ShardedEngine(Observable):
         update_base: bool = True,
         rebuild_factor: float | None = None,
     ) -> None:
-        """Split a batch by owning shard and run the shards concurrently.
+        """Commit a batch as one columnar pipeline across the shards.
 
-        The batch is ring-coalesced *before* routing: same-key deltas
-        collapse to one update (cancellations vanish entirely), so the
-        router, the base writes, and every shard's own batch kernel see
-        the already-shrunk batch — broadcast updates in particular are
-        shipped to each shard only once per surviving key.
+        The batch is ring-coalesced once, straight into per-relation
+        key/payload columns (same-key deltas collapse, cancellations
+        vanish); the base tables take one bulk ``add_delta`` per
+        relation; the router partitions the columns by shard; and every
+        shard applies its slice through
+        :meth:`~repro.viewtree.engine.ViewTreeEngine.apply_column_batch`
+        — in-process for the serial and thread executors, after a
+        columnar pipe round-trip for process workers.  No per-update
+        objects are rebuilt on either side, and the raw/coalesced counts
+        are recorded here, once per logical batch.
         """
-        batch = coalesce(batch, self.ring)
+        if not isinstance(batch, (list, tuple)):
+            batch = list(batch)
+        columns = coalesce_columnar(batch, self.ring)
+        stats = self._maintenance_stats
+        if stats is not None:
+            stats.record_batch_coalesce(
+                len(batch), sum(len(keys) for keys, _ in columns.values())
+            )
         if self._delta_ipc:
             # Spawn (or rebuild) the workers before the base writes:
             # workers build their leaves from the parent database as of
             # spawn time, so this batch must not be in it yet.
             self._ensure_workers()
         if update_base:
-            for update in batch:
-                if update.relation in self.database:
-                    self.database[update.relation].add(update.key, update.payload)
-        sub_batches = self.router.split(batch)
+            database = self.database
+            for name, (keys, payloads) in columns.items():
+                if name in database:
+                    database[name].add_delta(zip(keys, payloads))
+        parts = self.router.split(columns)
         if self._delta_ipc:
-            # Ship each worker its sub-batch in the columnar wire
-            # encoding; the reply carries a stats delta, never the
-            # engine — bytes per commit scale with the batch only.
+            # The reply carries a stats delta, never the engine — bytes
+            # per commit scale with the batch only.
+            ring = self.ring
             self._pool_round(
                 [
-                    ("apply_batch", encode_batch(sub, self.ring), rebuild_factor)
-                    for sub in sub_batches
+                    ("apply_columns", encode_columns(part, ring), rebuild_factor)
+                    for part in parts
                 ],
                 commit=True,
             )
             return
         if self.executor == "serial" or self.shards == 1:
-            for engine, sub in zip(self.engines, sub_batches):
-                engine.apply_batch(sub, update_base=False, rebuild_factor=rebuild_factor)
+            for engine, part in zip(self.engines, parts):
+                engine.apply_column_batch(part, rebuild_factor)
             return
         pool = self._ensure_pool()
         if self.executor == "thread":
             futures = [
-                pool.submit(
-                    engine.apply_batch,
-                    sub,
-                    update_base=False,
-                    rebuild_factor=rebuild_factor,
-                )
-                for engine, sub in zip(self.engines, sub_batches)
+                pool.submit(engine.apply_column_batch, part, rebuild_factor)
+                for engine, part in zip(self.engines, parts)
             ]
             for future in futures:
                 future.result()
         else:
             futures = [
-                pool.submit(_apply_shard_batch, engine, sub, rebuild_factor)
-                for engine, sub in zip(self.engines, sub_batches)
+                pool.submit(_apply_shard_columns, engine, part, rebuild_factor)
+                for engine, part in zip(self.engines, parts)
             ]
             for index, future in enumerate(futures):
                 engine = future.result()

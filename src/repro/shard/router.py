@@ -20,15 +20,21 @@ The router decides, per relation, where an update goes:
 Hashing uses a content-stable hash (not Python's seeded ``hash``), so a
 stream routes identically across processes and runs — differential
 shard-invariance tests and the process-pool executor both rely on that.
+Routing works on columns: :meth:`ShardRouter.split` partitions a
+coalesced batch's per-relation key/payload lists in bulk, hashing each
+distinct shard-variable value once per commit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
-from ..data.update import Update, split_batch
+from ..data.update import Update
 from ..query.ast import Query
+
+#: Per-relation parallel key/payload lists (``coalesce_columnar`` output).
+Columns = dict[str, tuple[list, list]]
 
 
 def stable_hash(value: Any) -> int:
@@ -36,9 +42,16 @@ def stable_hash(value: Any) -> int:
 
     ``PYTHONHASHSEED`` randomizes ``hash`` per process; routing must not
     depend on it, so values are hashed through their ``repr`` instead.
-    Equal values of the same type repr identically, which is all routing
-    needs.
+    Values that compare equal must route together — they are the same
+    dict key in every base relation and view — so ``bool`` and integral
+    ``float`` values are normalized to ``int`` first (``True``, ``1.0``
+    and ``1`` hash alike; so do ``0``, ``0.0``, ``-0.0`` and ``False``).
     """
+    if isinstance(value, float):
+        if value.is_integer():
+            value = int(value)
+    elif isinstance(value, bool):
+        value = int(value)
     data = repr(value).encode("utf-8", "backslashreplace")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
@@ -109,9 +122,45 @@ class ShardRouter:
         """Owning shard of one update; ``None`` means broadcast."""
         return self.shard_of_key(update.relation, update.key)
 
-    def split(self, batch: Iterable[Update]) -> list[list[Update]]:
-        """Per-shard sub-batches (broadcast updates go to every shard)."""
-        return split_batch(batch, self.shard_of, self.shards)
+    def split(self, columns: Columns) -> list[Columns]:
+        """Partition coalesced per-relation columns into per-shard columns.
+
+        ``columns`` is ``{relation: (keys, payloads)}`` as produced by
+        :func:`~repro.data.columnar.coalesce_columnar`.  A partitioned
+        relation's entries go to the shard owning the value at its shard
+        column, keeping their relative order; a broadcast relation's
+        column pair is handed to every shard unchanged (the same list
+        objects — consumers only read them).  Each distinct
+        shard-variable value is hashed at most once per call, and a
+        single shard takes everything without hashing at all.
+        """
+        shards = self.shards
+        parts: list[Columns] = [{} for _ in range(shards)]
+        owner_of: dict = {}
+        for relation, column in columns.items():
+            keys, payloads = column
+            position = self.positions.get(relation)
+            if position is None or shards == 1:
+                for part in parts:
+                    part[relation] = column
+                continue
+            split_keys: list[list] = [[] for _ in range(shards)]
+            split_payloads: list[list] = [[] for _ in range(shards)]
+            for key, payload in zip(keys, payloads):
+                # Equal values share one memo slot (dict equality), and
+                # stable_hash normalizes them to the same hash.
+                value = key[position]
+                owner = owner_of.get(value)
+                if owner is None:
+                    owner = owner_of[value] = stable_hash(value) % shards
+                split_keys[owner].append(key)
+                split_payloads[owner].append(payload)
+            for part, owned_keys, owned_payloads in zip(
+                parts, split_keys, split_payloads
+            ):
+                if owned_keys:
+                    part[relation] = (owned_keys, owned_payloads)
+        return parts
 
     def __repr__(self) -> str:
         return (

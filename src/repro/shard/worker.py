@@ -11,11 +11,14 @@ runtime:
   id), builds its shard engine locally, and keeps all view state
   resident for the life of the pool;
 * the parent speaks a small command protocol over a duplex pipe —
-  ``apply_batch`` ships only the coalesced, router-split sub-batch in
-  the columnar encoding of :mod:`repro.data.columnar` (numpy payload
-  buffers travel as raw bytes for ``numeric_dtype`` rings), and the
-  worker replies with a :class:`~repro.obs.MaintenanceStats` *delta*,
-  never the engine;
+  ``apply_columns`` ships only the worker's slice of the coordinator's
+  coalesced ``{relation: (keys, payloads)}`` columns
+  (:func:`encode_columns`; numpy payload buffers travel as raw bytes for
+  ``numeric_dtype`` rings); the worker decodes them and passes them
+  straight to
+  :meth:`~repro.viewtree.engine.ViewTreeEngine.apply_column_batch` —
+  no per-update objects, no second coalesce — and replies with a
+  :class:`~repro.obs.MaintenanceStats` *delta*, never the engine;
 * reads (``lookup`` routed to the owner shard, ``enumerate`` /
   ``scalar`` / ``output_relation`` streamed in chunks,
   ``publish_epoch`` broadcast as a barrier) ride the same protocol, so
@@ -57,7 +60,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..data.columnar import coalesce_columnar
 from ..data.database import Database
 from ..data.update import Update
 from ..obs import MaintenanceStats
@@ -66,7 +68,7 @@ from ..query.variable_order import VariableOrder
 from ..rings.base import Semiring
 from ..rings.lifting import LiftingMap
 from ..viewtree.changes import RETAIN_EPOCHS, EpochGapError, encode_delta
-from .router import ShardLeafFilter, ShardRouter
+from .router import Columns, ShardLeafFilter, ShardRouter
 
 try:  # pragma: no cover - exercised indirectly via the encoders
     import numpy as _np
@@ -87,7 +89,7 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: Commands whose reply piggybacks the worker's accumulated stats
 #: delta (maintenance writes plus the explicit pull).
 _STATS_COMMANDS = frozenset(
-    {"apply", "apply_batch", "rebuild", "pull_stats", "shutdown"}
+    {"apply", "apply_columns", "rebuild", "pull_stats", "shutdown"}
 )
 
 
@@ -100,58 +102,49 @@ class ShardWorkerError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Columnar wire encoding for sub-batches
+# Columnar wire encoding for router-split columns
 # ----------------------------------------------------------------------
 
 
-def encode_batch(
-    sub_batch, ring: Semiring
-) -> dict[str, tuple[list, tuple[str, Any]]]:
-    """Encode a router-split sub-batch for the pipe.
+def encode_columns(columns: Columns, ring: Semiring) -> dict[str, tuple]:
+    """Encode one shard's router-split columns for the pipe.
 
-    Produces ``{relation: (keys, payload_column)}`` via
-    :func:`~repro.data.columnar.coalesce_columnar`; for rings with a
+    ``columns`` is ``{relation: (keys, payloads)}``, already coalesced by
+    the coordinator.  Keys travel as pickled lists; for rings with a
     ``numeric_dtype`` the payload column is shipped as raw numpy bytes
     (``("np", buffer)``) instead of a pickled list.  Size is
-    proportional to the (coalesced) sub-batch only — never to the
+    proportional to the shard's slice of the batch only — never to the
     worker's resident view state.
     """
-    columns = coalesce_columnar(sub_batch, ring)
-    encoded: dict[str, tuple[list, tuple[str, Any]]] = {}
-    numeric = _np is not None and ring.numeric_dtype is not None
-    for relation, (keys, payloads) in columns.items():
-        if numeric:
-            buffer = _np.asarray(payloads, dtype=ring.numeric_dtype).tobytes()
-            encoded[relation] = (keys, ("np", buffer))
-        else:
-            encoded[relation] = (keys, ("py", payloads))
-    return encoded
+    if _np is None or ring.numeric_dtype is None:
+        return {
+            relation: (keys, ("py", payloads))
+            for relation, (keys, payloads) in columns.items()
+        }
+    dtype = ring.numeric_dtype
+    return {
+        relation: (keys, ("np", _np.asarray(payloads, dtype=dtype).tobytes()))
+        for relation, (keys, payloads) in columns.items()
+    }
 
 
-def decode_batch(
-    encoded: dict[str, tuple[list, tuple[str, Any]]], ring: Semiring
-) -> list[Update]:
-    """Decode :func:`encode_batch` output back into update objects.
+def decode_columns(encoded: dict[str, tuple], ring: Semiring) -> Columns:
+    """Decode :func:`encode_columns` output back into column pairs.
 
     ``float64`` buffers round-trip bit-identically through
     ``tobytes``/``frombuffer``, so the worker applies exactly the
     payloads the coordinator coalesced.
     """
-    updates: list[Update] = []
+    columns: Columns = {}
     for relation, (keys, (tag, data)) in encoded.items():
         if tag == "np":
             if _np is None:  # pragma: no cover - symmetric container
                 raise RuntimeError(
                     "numpy-encoded batch received without numpy available"
                 )
-            payloads = _np.frombuffer(data, dtype=ring.numeric_dtype).tolist()
-        else:
-            payloads = data
-        updates.extend(
-            Update(relation, key, payload)
-            for key, payload in zip(keys, payloads)
-        )
-    return updates
+            data = _np.frombuffer(data, dtype=ring.numeric_dtype).tolist()
+        columns[relation] = (keys, data)
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +229,9 @@ class _WorkerRuntime:
         self.engine.apply(update, update_base=False)
         return None, None
 
-    def _cmd_apply_batch(self, encoded, rebuild_factor):
-        batch = decode_batch(encoded, self.ring)
-        self.engine.apply_batch(
-            batch, update_base=False, rebuild_factor=rebuild_factor
+    def _cmd_apply_columns(self, encoded, rebuild_factor):
+        self.engine.apply_column_batch(
+            decode_columns(encoded, self.ring), rebuild_factor
         )
         return None, None
 

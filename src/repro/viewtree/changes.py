@@ -139,7 +139,7 @@ def compose_deltas(
 
 
 def encode_delta(delta: OutputDelta, ring) -> tuple:
-    """Encode a delta for the pipe, columnar like ``encode_batch``.
+    """Encode a delta for the pipe, columnar like ``encode_columns``.
 
     For rings with a ``numeric_dtype`` the old/new payload columns ship
     as raw numpy bytes with ``0`` as the *absent* sentinel — sound

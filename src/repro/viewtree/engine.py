@@ -34,7 +34,7 @@ from typing import Any, Iterator, Optional
 from ..data.database import Database
 from ..data.relation import Relation
 from ..data.schema import Schema
-from ..data.update import Update, coalesce_grouped
+from ..data.update import Update
 from ..naive.algebra import join_all, join_pair, marginalize, union_into
 from ..obs import Observable, observed, observed_enumeration
 from ..query.ast import Atom, Query
@@ -343,31 +343,35 @@ class ViewTreeEngine(Observable):
         kernel; otherwise — or for a relation without a plan — it falls
         back to the generic :meth:`_propagate` interpretation.
         """
-        if update_base and update.relation in self.database:
-            self.database[update.relation].add(update.key, update.payload)
-        anchors = self._anchors.get(update.relation, ())
-        plans = self._plans.get(update.relation) if self.compiled else None
+        relation, key, payload = update.relation, update.key, update.payload
+        if update_base and relation in self.database:
+            self.database[relation].add(key, payload)
+        plans = self._plans.get(relation)
         if plans is not None:
             stats = self._maintenance_stats
-            kernels = self._kernels.get(update.relation)
+            kernels = self._kernels.get(relation)
             if kernels is None:
                 kernels = (None,) * len(plans)
             for (_atom, _node, leaf), plan, kernel in zip(
-                anchors, plans, kernels
+                self._anchors[relation], plans, kernels
             ):
-                leaf.add(update.key, update.payload)
+                leaf.add(key, payload)
                 if kernel is not None:
-                    kernel.push(update.key, update.payload, stats)
+                    kernel.push(key, payload, stats)
                 else:
-                    plan.push(update.key, update.payload, stats)
+                    plan.push(key, payload, stats)
         else:
-            for atom, node, leaf in anchors:
-                delta = Relation(f"d_{atom}", leaf.schema, self.ring)
-                delta.add(update.key, update.payload)
-                leaf.add(update.key, update.payload)
-                self._propagate(node, delta, exclude=leaf)
+            self._apply_generic(relation, key, payload)
         if self._maintenance_stats is not None:
             self._maybe_sample_views()
+
+    def _apply_generic(self, relation: str, key: tuple, payload: Any) -> None:
+        """One tuple through the generic :meth:`_propagate` interpretation."""
+        for atom, node, leaf in self._anchors.get(relation, ()):
+            delta = Relation(f"d_{atom}", leaf.schema, self.ring)
+            delta.add(key, payload)
+            leaf.add(key, payload)
+            self._propagate(node, delta, exclude=leaf)
 
     @observed
     def apply_batch(
@@ -395,104 +399,123 @@ class ViewTreeEngine(Observable):
            leaf writes, sibling probes shared across the group;
         3. **per-tuple** — otherwise, one :meth:`apply` per update (the
            generic interpretation when plans are disabled).
+
+        The first two coalesce with
+        :func:`~repro.data.columnar.coalesce_columnar` and share their
+        body with :meth:`apply_column_batch`.
         """
         batch = list(batch)
-        if rebuild_factor is not None:
-            # Count each base relation once: a relation anchored at
-            # several atoms contributes one leaf copy per atom, and
-            # summing every copy inflated the crossover against batches
-            # measured in distinct database tuples.
-            leaf_size = sum(
-                len(anchors[0][2]) for anchors in self._anchors.values()
-            )
-            if len(batch) >= rebuild_factor * max(leaf_size, 1):
-                for update in batch:
-                    if update_base and update.relation in self.database:
-                        self.database[update.relation].add(
-                            update.key, update.payload
-                        )
-                    for _atom, _node, leaf in self._anchors.get(
-                        update.relation, ()
-                    ):
-                        leaf.add(update.key, update.payload)
-                self.rebuild()
-                if self._maintenance_stats is not None:
-                    self.sample_view_sizes()
-                return
-        if self.compiled and len(batch) >= self.batch_compile_threshold:
-            self._apply_batch_compiled(batch, update_base)
+        rebuild = self._rebuild_due(len(batch), rebuild_factor)
+        if not rebuild and not (
+            self.compiled and len(batch) >= self.batch_compile_threshold
+        ):
+            for update in batch:
+                self.apply(update, update_base)
             return
-        for update in batch:
-            self.apply(update, update_base)
+        columns = coalesce_columnar(batch, self.ring)
+        stats = self._maintenance_stats
+        if stats is not None:
+            stats.record_batch_coalesce(
+                len(batch), sum(len(keys) for keys, _ in columns.values())
+            )
+        self._apply_columns(columns, update_base, rebuild, len(batch))
 
-    def _apply_batch_compiled(self, batch, update_base: bool) -> None:
-        """Coalesce the batch and push one grouped delta per anchor.
+    @observed
+    def apply_column_batch(
+        self,
+        columns: dict[str, tuple[list, list]],
+        rebuild_factor: float | None = None,
+    ) -> None:
+        """Apply an already-coalesced batch given as per-relation columns.
+
+        ``columns`` is ``{relation: (keys, payloads)}`` with distinct keys
+        per relation and no zero payloads — the output of
+        :func:`~repro.data.columnar.coalesce_columnar`, or one shard's
+        slice of it from :meth:`~repro.shard.router.ShardRouter.split`.
+        The lists are only read, never mutated or retained.  This is the
+        entry point of shard coordinators and workers, which coalesce
+        once for all shards and write the shared base tables themselves:
+        no base table is written and no coalescing is recorded here.
+
+        ``rebuild_factor`` compares the number of column entries with the
+        leaf size (see :meth:`apply_batch`).  Compiled engines push each
+        relation's columns through its generated kernels (or interpreted
+        plans); engines without compiled plans run the generic per-tuple
+        interpretation over the entries.
+        """
+        count = sum(len(keys) for keys, _ in columns.values())
+        rebuild = self._rebuild_due(count, rebuild_factor)
+        self._apply_columns(columns, False, rebuild, count)
+
+    def _rebuild_due(self, count: int, rebuild_factor: float | None) -> bool:
+        """Whether a batch of ``count`` updates should rebuild the views."""
+        if rebuild_factor is None:
+            return False
+        # Count each base relation once: a relation anchored at several
+        # atoms contributes one leaf copy per atom, and summing every
+        # copy inflated the crossover against batches measured in
+        # distinct database tuples.
+        leaf_size = sum(
+            len(anchors[0][2]) for anchors in self._anchors.values()
+        )
+        return count >= rebuild_factor * max(leaf_size, 1)
+
+    def _apply_columns(
+        self, columns, update_base: bool, rebuild: bool, count: int
+    ) -> None:
+        """The shared batch body: base writes, leaf writes, delta pushes.
 
         Correctness rests on two facts.  Update batches over a ring
         commute, so ring-summing same-key deltas and regrouping by
         relation preserves the batch's cumulative effect.  And for each
         relation the anchor loop mirrors the per-tuple path at batch
-        granularity — bulk leaf insert, then one :meth:`push_batch` —
-        so by the telescoping identity ``Δ(L1·L2) = Δ·L2_old +
-        L1_new·Δ`` the grouped pushes land exactly the summed per-tuple
-        deltas (self-joins included: the anchor's own leaf is updated
-        before its push and excluded from its first sibling join, while
-        later anchors of the same relation see the earlier leaves'
-        post-batch state, matching the per-tuple interleaving's sum).
+        granularity — bulk leaf insert, then one ``push_batch`` — so by
+        the telescoping identity ``Δ(L1·L2) = Δ·L2_old + L1_new·Δ`` the
+        grouped pushes land exactly the summed per-tuple deltas
+        (self-joins included: the anchor's own leaf is updated before
+        its push and excluded from its first sibling join, while later
+        anchors of the same relation see the earlier leaves' post-batch
+        state, matching the per-tuple interleaving's sum).
+
+        With ``rebuild`` set the columns only land on the leaves, and
+        every view is recomputed bottom-up afterwards.
         """
         stats = self._maintenance_stats
-        if self._kernels:
-            # Columnar twin of the dict path below: coalesce straight
-            # into parallel key/payload lists and feed the generated
-            # batch kernels; anchors whose kernel fell back to the
-            # interpreted plan get the dict view built on demand.
-            grouped_columnar = coalesce_columnar(batch, self.ring)
-            if stats is not None:
-                stats.record_batch_coalesce(
-                    len(batch),
-                    sum(len(keys) for keys, _ in grouped_columnar.values()),
-                )
-            database = self.database
-            for name, (keys, pays) in grouped_columnar.items():
-                if update_base and name in database:
-                    database[name].add_delta(zip(keys, pays))
-                plans = self._plans.get(name)
-                if not plans:
-                    continue
+        database = self.database
+        for name, (keys, pays) in columns.items():
+            if update_base and name in database:
+                database[name].add_delta(zip(keys, pays))
+            anchors = self._anchors.get(name, ())
+            plans = self._plans.get(name)
+            if rebuild:
+                for _atom, _node, leaf in anchors:
+                    leaf.add_delta(zip(keys, pays))
+            elif plans is None:
+                for key, payload in zip(keys, pays):
+                    self._apply_generic(name, key, payload)
+            else:
                 kernels = self._kernels.get(name)
                 if kernels is None:
                     kernels = (None,) * len(plans)
                 deltas = None
                 for (_atom, _node, leaf), plan, kernel in zip(
-                    self._anchors[name], plans, kernels
+                    anchors, plans, kernels
                 ):
                     leaf.add_delta(zip(keys, pays))
                     if kernel is not None:
                         kernel.push_batch(keys, pays, stats)
                     else:
+                        # Interpreted plans take the dict view, built
+                        # once per relation on demand.
                         if deltas is None:
                             deltas = dict(zip(keys, pays))
                         plan.push_batch(deltas, stats)
+        if rebuild:
+            self.rebuild()
             if stats is not None:
-                self._maybe_sample_views(len(batch))
-            return
-        grouped = coalesce_grouped(batch, self.ring)
-        if stats is not None:
-            stats.record_batch_coalesce(
-                len(batch), sum(len(deltas) for deltas in grouped.values())
-            )
-        database = self.database
-        for name, deltas in grouped.items():
-            if update_base and name in database:
-                database[name].add_delta(deltas.items())
-            plans = self._plans.get(name)
-            if not plans:
-                continue
-            for (_atom, _node, leaf), plan in zip(self._anchors[name], plans):
-                leaf.add_delta(deltas.items())
-                plan.push_batch(deltas, stats)
-        if stats is not None:
-            self._maybe_sample_views(len(batch))
+                self.sample_view_sizes()
+        elif stats is not None:
+            self._maybe_sample_views(count)
 
     def rebuild(self) -> None:
         """Recompute every guard and view from the current leaves."""

@@ -1,11 +1,11 @@
-"""Sharded parallel view-tree maintenance: router, splitter, engine."""
+"""Sharded parallel view-tree maintenance: router, column splitter, engine."""
 
 import pickle
 import random
 
 import pytest
 
-from repro.data import Database, Update, split_batch
+from repro.data import Database, Update
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
 from repro.shard import (
@@ -118,32 +118,75 @@ class TestShardRouter:
 
 
 class TestSplitBatch:
+    """``ShardRouter.split``: the column splitter behind every commit."""
+
+    QUERY_T = parse_query("Q(A) = R(A, B) * T(C)")
+
     def test_partitions_and_broadcasts(self):
-        batch = [Update("R", (i, 0), 1) for i in range(6)]
-        batch.append(Update("T", (9,), 1))
-
-        def shard_of(update):
-            return None if update.relation == "T" else update.key[0] % 3
-
-        parts = split_batch(batch, shard_of, 3)
+        router = ShardRouter(self.QUERY_T, "A", 3)
+        keys = [(i, 0) for i in range(6)]
+        t_column = ([(9,)], [1])
+        columns = {"R": (keys, [1] * 6), "T": t_column}
+        parts = router.split(columns)
         assert len(parts) == 3
+        owned = 0
         for index, part in enumerate(parts):
-            owned = [u for u in part if u.relation == "R"]
-            assert all(u.key[0] % 3 == index for u in owned)
-            # the broadcast update reaches every shard
-            assert sum(1 for u in part if u.relation == "T") == 1
-        total_owned = sum(len([u for u in p if u.relation == "R"]) for p in parts)
-        assert total_owned == 6
+            r_keys, r_payloads = part.get("R", ([], []))
+            assert all(
+                router.shard_of_key("R", key) == index for key in r_keys
+            )
+            assert len(r_keys) == len(r_payloads)
+            owned += len(r_keys)
+            # the broadcast column reaches every shard, unchanged
+            assert part["T"] is t_column
+        assert owned == 6
 
     def test_preserves_order_within_shard(self):
-        batch = [Update("R", (0, i), 1) for i in range(5)]
-        parts = split_batch(batch, lambda u: 0, 2)
-        assert [u.key[1] for u in parts[0]] == [0, 1, 2, 3, 4]
-        assert parts[1] == []
+        router = ShardRouter(QUERY, "B", 2)
+        keys = [(0, i) for i in range(5)]
+        parts = router.split({"R": (keys, list(range(5)))})
+        owner = router.shard_of_key("R", (0, 0))
+        assert parts[owner]["R"] == (keys, [0, 1, 2, 3, 4])
+        assert parts[1 - owner] == {}
 
-    def test_out_of_range_owner_rejected(self):
-        with pytest.raises(ValueError):
-            split_batch([Update("R", (0,), 1)], lambda u: 5, 2)
+    def test_every_key_lands_on_one_shard_in_range(self):
+        keys = [(value, 0) for value in range(40)]
+        for shards in (2, 3, 5):
+            router = ShardRouter(QUERY, "B", shards)
+            parts = router.split({"R": (keys, [1] * len(keys))})
+            assert len(parts) == shards
+            landed = [key for part in parts for key in part.get("R", ([],))[0]]
+            assert sorted(landed) == keys
+
+    def test_single_shard_never_hashes(self, monkeypatch):
+        import repro.shard.router as router_module
+
+        def boom(value):
+            raise AssertionError("hashed with one shard")
+
+        monkeypatch.setattr(router_module, "stable_hash", boom)
+        columns = {"R": ([(1, 2)], [1]), "S": ([(1,)], [1])}
+        [part] = ShardRouter(QUERY, "B", 1).split(columns)
+        assert part["R"] is columns["R"] and part["S"] is columns["S"]
+
+    def test_each_value_hashed_once_per_commit(self, monkeypatch):
+        import repro.shard.router as router_module
+
+        calls = []
+        real = router_module.stable_hash
+
+        def counting_hash(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(router_module, "stable_hash", counting_hash)
+        router = ShardRouter(QUERY, "B", 4)
+        columns = {
+            "R": ([(v % 3, i) for i, v in enumerate(range(30))], [1] * 30),
+            "S": ([(0,), (1,), (2,), (True,)], [1] * 4),
+        }
+        router.split(columns)
+        assert sorted(calls) == [0, 1, 2]
 
 
 class TestShardedEngine:

@@ -2,8 +2,9 @@
 
 The tentpole invariant under test: with ``executor="process"`` and the
 default ``ipc="delta"``, the coordinator holds no engine replicas —
-workers keep all view state resident and the pipe carries only
-coalesced sub-batches out and stats deltas / read results back.  Every
+workers keep all view state resident and the pipe carries only each
+shard's slice of the coalesced batch (as columns) out and stats deltas /
+read results back.  Every
 read path must stay bit-identical to the serial executor and to the
 ``ipc="pickle-engine"`` oracle (the old ship-the-engine path).
 """
@@ -13,15 +14,17 @@ import random
 import pytest
 
 from repro.data import Database, Update
+from repro.data.columnar import coalesce_columnar
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
 from repro.rings.standard import FloatRing, Z
 from repro.serve import update_stream
 from repro.shard import (
+    ShardRouter,
     ShardWorkerError,
     ShardedEngine,
-    decode_batch,
-    encode_batch,
+    decode_columns,
+    encode_columns,
 )
 from tests.conftest import valid_stream
 
@@ -52,31 +55,31 @@ class TestWireEncoding:
             Update("S", (4,), 5),
             Update("R", (0, 0), 1),
         ]
-        encoded = encode_batch(batch, Z)
-        decoded = decode_batch(encoded, Z)
-        got = {(u.relation, u.key): u.payload for u in decoded}
-        assert got == {
-            ("R", (1, 2)): 2,
-            ("R", (0, 0)): 1,
-            ("S", (4,)): 5,
+        columns = coalesce_columnar(batch, Z)
+        encoded = encode_columns(columns, Z)
+        assert all(tag == "py" for _, (tag, _) in encoded.values())
+        assert decode_columns(encoded, Z) == {
+            "R": ([(1, 2), (0, 0)], [2, 1]),
+            "S": ([(4,)], [5]),
         }
 
     def test_float_payloads_round_trip_bit_identically(self):
         ring = FloatRing()
         # Payloads chosen so any decimal re-parse would drift.
         payloads = [0.1, 1e-9, 3.141592653589793, -2.5000000000000004]
-        batch = [
-            Update("R", (i, 0), payload)
-            for i, payload in enumerate(payloads)
-        ]
-        decoded = decode_batch(encode_batch(batch, ring), ring)
-        got = {u.key[0]: u.payload for u in decoded}
-        for i, payload in enumerate(payloads):
-            assert got[i] == payload  # exact, not approx
+        columns = {"R": ([(i, 0) for i in range(len(payloads))], payloads)}
+        encoded = encode_columns(columns, ring)
+        assert encoded["R"][1][0] == "np"  # raw float64 bytes on the wire
+        keys, got = decode_columns(encoded, ring)["R"]
+        assert keys == columns["R"][0]
+        for expected, decoded in zip(payloads, got):
+            assert decoded == expected  # exact, not approx
 
     def test_cancelled_updates_never_hit_the_wire(self):
         batch = [Update("R", (7, 7), 1), Update("R", (7, 7), -1)]
-        assert encode_batch(batch, Z) == {}
+        router = ShardRouter(QUERY, "B", 2)
+        parts = router.split(coalesce_columnar(batch, Z))
+        assert [encode_columns(part, Z) for part in parts] == [{}, {}]
 
 
 # ----------------------------------------------------------------------
