@@ -24,6 +24,10 @@ The process executor (persistent delta-IPC workers, ``repro.shard
 gates the whole point of the worker redesign: per-commit time must stay
 flat as resident view state grows (the old ship-the-engine path
 regressed linearly in state — see ``bench_ipc`` for the head-to-head).
+
+Every row — plain engine, in-process shards and process workers alike,
+and the state-growth probes — runs with a stats recorder attached, as
+the ``stats`` CLI does, so the rows compare the same instrumentation.
 """
 
 from __future__ import annotations
@@ -155,6 +159,7 @@ def _state_growth_table():
     db.create("R", ("B", "A"))
     db.create("S", ("B",))
     with ShardedEngine(QUERY, db, shards=4, executor="process") as engine:
+        engine.attach_stats()
         engine.apply_batch(batch(2_000))
         engine.apply_batch(batch(GROWTH_BATCH // 2))  # warmup: pool spawn
         small = probe_level(engine)
@@ -192,6 +197,7 @@ def _scaling_table():
     for workload in WORKLOADS:
         db = _fresh_db(workload)
         engine = ViewTreeEngine(QUERY, db)
+        engine.attach_stats()
         plain_row.append(f"{_replay(engine, _stream(workload, 7)):,.0f}")
         outputs[workload] = engine.output_relation().to_dict()
     table.add(*plain_row)
@@ -221,6 +227,7 @@ def _scaling_table():
             with ShardedEngine(
                 QUERY, _fresh_db(workload), shards=shards, executor="process"
             ) as engine:
+                engine.attach_stats()
                 row.append(f"{_replay(engine, stream):,.0f}")
                 assert engine.output_relation().to_dict() == outputs[workload]
         table.add(*row)

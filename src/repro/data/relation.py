@@ -15,6 +15,7 @@ always the number of tuples with non-zero payload.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..rings.base import Semiring
@@ -107,6 +108,58 @@ class GroupIndex:
             del groups[group_key]
             if owned is not None:
                 owned.discard(group_key)
+
+    def apply_postings(self, postings: list[tuple[tuple, bool]]) -> None:
+        """Apply ordered ``(key, inserted)`` postings in one loop.
+
+        Equivalent to :meth:`add` (``inserted``) or :meth:`remove` once
+        per posting, in order — same bucket and group insertion order,
+        same bucket-level copy-on-write and ``_cow_copied`` count — but
+        the top-level COW check runs once per call, the hot locals bind
+        once, and group keys are projected without a generator.  This is
+        the index side of :meth:`Relation.add_delta`.
+        """
+        if not postings:
+            return
+        if self._cow:
+            self.groups = dict(self.groups)
+            self._cow = False
+            self._owned = set()
+        groups = self.groups
+        get = groups.get
+        owned = self._owned
+        positions = self._positions
+        if len(positions) == 1:
+            position = positions[0]
+            group_keys = [(key[position],) for key, _ in postings]
+        elif positions:
+            project = itemgetter(*positions)
+            group_keys = [project(key) for key, _ in postings]
+        else:
+            group_keys = [()] * len(postings)
+        copied = 0
+        for group_key, (key, inserted) in zip(group_keys, postings):
+            bucket = get(group_key)
+            if bucket is None:
+                if inserted:
+                    groups[group_key] = {key: None}
+                    if owned is not None:
+                        owned.add(group_key)
+                continue
+            if owned is not None and group_key not in owned:
+                bucket = dict(bucket)
+                groups[group_key] = bucket
+                owned.add(group_key)
+                copied += 1
+            if inserted:
+                bucket[key] = None
+                continue
+            bucket.pop(key, None)
+            if not bucket:
+                del groups[group_key]
+                if owned is not None:
+                    owned.discard(group_key)
+        self._cow_copied += copied
 
     def clear(self) -> None:
         if self._cow:
@@ -320,8 +373,10 @@ class Relation:
         Semantically identical to calling :meth:`add` once per pair —
         zero payloads are skipped, entries cancelling to the ring zero
         are removed together with their index postings — but the hot
-        locals (data dict, ring ops, index list) bind once for the whole
-        delta and the write accounting is one bulk ``COUNTER`` bump.
+        locals (data dict, ring ops) bind once for the whole delta, the
+        write accounting is one bulk ``COUNTER`` bump, and the index
+        postings (``(key, inserted)`` in write order) go to each
+        :class:`GroupIndex` as one list (:meth:`GroupIndex.apply_postings`).
         This is the leaf/base/view sink of the compiled batch kernel.
 
         Returns the number of entries written (the op count bumped).
@@ -337,29 +392,34 @@ class Relation:
             self._unshare()
         data = self.data
         dirty = self._dirty
-        indexes = list(self._indexes.values()) if self._indexes else None
+        postings: list | None = [] if self._indexes else None
         writes = 0
-        for key, payload in entries:
-            if (payload == zero) if exact else is_zero(payload):
-                continue
-            writes += 1
-            if dirty is not None:
-                dirty.add(key)
-            old = data.get(key)
-            if old is None:
-                data[key] = payload
-                if indexes is not None:
-                    for index in indexes:
-                        index.add(key)
-                continue
-            new = ring_add(old, payload)
-            if (new == zero) if exact else is_zero(new):
-                del data[key]
-                if indexes is not None:
-                    for index in indexes:
-                        index.remove(key)
-            else:
-                data[key] = new
+        try:
+            for key, payload in entries:
+                if (payload == zero) if exact else is_zero(payload):
+                    continue
+                writes += 1
+                if dirty is not None:
+                    dirty.add(key)
+                old = data.get(key)
+                if old is None:
+                    data[key] = payload
+                    if postings is not None:
+                        postings.append((key, True))
+                    continue
+                new = ring_add(old, payload)
+                if (new == zero) if exact else is_zero(new):
+                    del data[key]
+                    if postings is not None:
+                        postings.append((key, False))
+                else:
+                    data[key] = new
+        finally:
+            # Post even when an entry raises mid-delta, so the indexes
+            # always agree with the entries already written.
+            if postings:
+                for index in self._indexes.values():
+                    index.apply_postings(postings)
         if writes:
             COUNTER.bump("write", writes)
         return writes

@@ -358,7 +358,8 @@ class MaintenanceStats:
         #: the pipes (both directions), per-commit byte histogram (the
         #: "cost scales with batch, not state" evidence), worker busy
         #: time vs. coordinator wall time (utilization), time spent
-        #: merging shipped stats deltas, worker crashes surfaced, and
+        #: merging stats pulled off the workers (``merged_stats`` only;
+        #: commits ship no stats), worker crashes surfaced, and
         #: worker processes spawned (> shards means a pool rebuild).
         self.ipc_rounds = 0
         self.ipc_commits = 0
@@ -660,7 +661,7 @@ class MaintenanceStats:
                 self.ipc_commit_bytes.record(bytes_sent + bytes_received)
 
     def record_ipc_stats_merge(self, seconds: float) -> None:
-        """Time spent folding a worker's shipped stats delta."""
+        """Time spent merging stats pulled off the shard workers."""
         with self._lock:
             self.ipc_stats_merge_s += seconds
 

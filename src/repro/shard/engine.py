@@ -42,8 +42,11 @@ Executors:
   from a small pickled spec, and keeps all view state resident.  Per
   commit the coordinator ships each worker only its slice of the
   coalesced columns (numpy payload buffers as raw bytes), which the
-  worker applies as columns, and receives a stats *delta* — IPC cost
-  scales with the batch, never with accumulated view state.  Reads
+  worker applies as columns, and receives only the worker's busy time
+  back — IPC cost scales with the batch, never with accumulated view
+  state.  Workers keep their maintenance stats and ship them only
+  when pulled (:meth:`ShardedEngine.merged_stats`, ``close``, pool
+  rebuild).  Reads
   (``lookup`` routed to the owner shard, ``enumerate``/``scalar``
   streamed in chunks, ``publish_epoch`` as a barrier) ride the same
   pipe protocol, so the coordinator holds no engine replicas at all.  The previous
@@ -157,8 +160,9 @@ class ShardedEngine(Observable):
         self._pool = None
         #: Delta-IPC mode: persistent worker processes own the shard
         #: engines; the coordinator keeps no engine replicas and ships
-        #: only sub-batches out / stats deltas back.  A single shard has
-        #: nothing to parallelize — it stays in-process like "serial".
+        #: only sub-batches out (stats come back when pulled).  A single
+        #: shard has nothing to parallelize — it stays in-process like
+        #: "serial".
         self._delta_ipc = (
             executor == "process" and ipc == "delta" and self.shards > 1
         )
@@ -169,7 +173,7 @@ class ShardedEngine(Observable):
         self._codegen_requested = codegen
 
         #: One recorder per shard, attached from birth (delta mode:
-        #: merged from shipped worker deltas); merged on demand.
+        #: merged from stats pulled off the workers); merged on demand.
         self.shard_stats = [
             MaintenanceStats(engine=f"ViewTreeEngine/shard{index}")
             for index in range(self.shards)
@@ -288,33 +292,23 @@ class ShardedEngine(Observable):
             self._change_tracker.mark_stale()
         return pool
 
-    def _absorb(self, pairs, wall_s: float, commit: bool = False) -> None:
-        """Fold worker replies into the coordinator's accounting.
+    def _absorb(self, replies, wall_s: float, commit: bool = False) -> None:
+        """Fold worker replies into the coordinator's ``ipc`` accounting.
 
-        ``pairs`` is ``[(shard_index, reply)]``.  Shipped stats deltas
-        merge into the per-shard recorders (what :meth:`merged_stats`
-        labels), and the round's bytes/latency feed the coordinator's
-        ``ipc`` block.
+        Only the round's bytes, busy time and latency are read here:
+        worker stats are pulled on demand (:meth:`merged_stats`,
+        :meth:`close`, pool rebuild), never shipped with a command.
         """
         sent = received = 0
         busy = 0.0
-        merge_started = None
-        for index, reply in pairs:
+        for reply in replies:
             sent += reply.bytes_sent
             received += reply.bytes_received
             busy += reply.busy
-            if reply.stats is not None:
-                if merge_started is None:
-                    merge_started = time.perf_counter()
-                self.shard_stats[index].merge(reply.stats)
         stats = self._maintenance_stats
         if stats is not None:
-            if merge_started is not None:
-                stats.record_ipc_stats_merge(
-                    time.perf_counter() - merge_started
-                )
             stats.record_ipc_round(
-                round_trips=len(pairs),
+                round_trips=len(replies),
                 bytes_sent=sent,
                 bytes_received=received,
                 busy_s=busy,
@@ -340,9 +334,7 @@ class ShardedEngine(Observable):
         except ShardWorkerError as error:
             self._worker_failed(error)
             raise
-        self._absorb(
-            list(enumerate(replies)), time.perf_counter() - started, commit
-        )
+        self._absorb(replies, time.perf_counter() - started, commit)
         return replies
 
     def _pool_broadcast(self, command: tuple, commit: bool = False):
@@ -357,14 +349,14 @@ class ShardedEngine(Observable):
         except ShardWorkerError as error:
             self._worker_failed(error)
             raise
-        self._absorb([(shard, reply)], time.perf_counter() - started, commit)
+        self._absorb([reply], time.perf_counter() - started, commit)
         return reply
 
     def close(self) -> None:
         """Shut executor and worker pools down (idempotent).
 
-        Worker shutdown ships each worker's final stats delta, so
-        :meth:`merged_stats` stays complete after close.
+        Worker shutdown ships each worker's stats accumulated since the
+        last pull, so :meth:`merged_stats` stays complete after close.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -376,7 +368,9 @@ class ShardedEngine(Observable):
 
     def __getstate__(self) -> dict:
         # Neither pool survives pickling; a restored engine respawns
-        # lazily on first use.
+        # lazily on first use.  Pull first, so the copy's per-shard
+        # recorders hold everything the workers recorded so far.
+        self._pull_stats()
         state = self.__dict__.copy()
         state["_pool"] = None
         state["_worker_pool"] = None
@@ -479,8 +473,9 @@ class ShardedEngine(Observable):
                     database[name].add_delta(zip(keys, payloads))
         parts = self.router.split(columns)
         if self._delta_ipc:
-            # The reply carries a stats delta, never the engine — bytes
-            # per commit scale with the batch only.
+            # The reply carries the worker's busy time only — never the
+            # engine, never stats (pulled on demand) — so bytes per
+            # commit scale with the batch alone.
             ring = self.ring
             self._pool_round(
                 [
@@ -1018,16 +1013,30 @@ class ShardedEngine(Observable):
         # concurrent shard threads would race its histograms.
         return
 
+    def _pull_stats(self) -> None:
+        """Merge what each live worker recorded since the last pull.
+
+        Workers keep recording into their own recorders (commits and
+        reads alike); the merge time is the ``ipc`` block's
+        ``stats_merge_s``.
+        """
+        pool = self._worker_pool
+        if pool is None or pool.broken:
+            return
+        try:
+            replies = self._pool_broadcast(("pull_stats",))
+        except ShardWorkerError:
+            return  # survivors hand their stats over at the rebuild
+        started = time.perf_counter()
+        for index, reply in enumerate(replies):
+            self.shard_stats[index].merge(reply.stats)
+        stats = self._maintenance_stats
+        if stats is not None:
+            stats.record_ipc_stats_merge(time.perf_counter() - started)
+
     def merged_stats(self) -> MaintenanceStats:
         """One recorder: coordinator series + per-shard labelled summaries."""
-        if self._delta_ipc and self._worker_pool is not None:
-            # Pull any stats the workers accumulated since their last
-            # shipped delta (e.g. read-path enumeration counters).
-            if not self._worker_pool.broken:
-                try:
-                    self._pool_broadcast(("pull_stats",))
-                except ShardWorkerError:
-                    pass
+        self._pull_stats()
         merged = MaintenanceStats(
             engine=f"ShardedEngine[{self.shards}x{self.shard_variable}]"
         )

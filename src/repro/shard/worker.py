@@ -17,8 +17,15 @@ runtime:
   ``numeric_dtype`` rings); the worker decodes them and passes them
   straight to
   :meth:`~repro.viewtree.engine.ViewTreeEngine.apply_column_batch` —
-  no per-update objects, no second coalesce — and replies with a
-  :class:`~repro.obs.MaintenanceStats` *delta*, never the engine;
+  no per-update objects, no second coalesce — and replies with its
+  busy time only, never the engine and never its stats;
+* stats are **pulled, not pushed**: each worker keeps recording into
+  its own :class:`~repro.obs.MaintenanceStats` and ships what it
+  accumulated since the last pull only on ``pull_stats`` (sent by
+  ``ShardedEngine.merged_stats`` and before the coordinator pickles)
+  and ``shutdown`` (``close`` and pool rebuild).  Recorder merge is
+  associative, so pulled totals equal per-commit shipping; a crashed
+  worker loses only its counters since the last pull;
 * reads (``lookup`` routed to the owner shard, ``enumerate`` /
   ``scalar`` / ``output_relation`` streamed in chunks,
   ``publish_epoch`` broadcast as a barrier) ride the same protocol, so
@@ -28,9 +35,10 @@ Wire format: every message in either direction is one
 ``pickle.dumps`` blob sent with ``Connection.send_bytes`` — framing by
 length makes the bytes shipped per command directly countable, which
 is what feeds the ``ipc`` observability block.  Replies are either a
-terminal ``("ok", payload, stats_delta, busy_seconds)`` /
-``("err", traceback)`` or any number of ``("chunk", items)`` messages
-followed by a terminal one (streamed enumerations).
+terminal ``("ok", payload, stats, busy_seconds)`` / ``("err",
+traceback)`` or any number of ``("chunk", items)`` messages followed by
+a terminal one (streamed enumerations); ``stats`` is ``None`` except
+on the pull commands in ``_STATS_COMMANDS``.
 
 Epoch snapshots never cross the pipe: ``EpochSnapshot`` objects are
 identity-keyed (meaningless after pickling), so workers retain their
@@ -48,7 +56,9 @@ Failure: a dead pipe or worker process raises
 and the coordinator can rebuild from its authoritative base database
 (see ``ShardedEngine._ensure_workers``) — surviving shards lose no
 committed state because every worker is rebuilt from the same
-committed prefix.
+committed prefix.  A round collects every reachable worker's reply
+before it raises, so the survivors' pipes stay in step and their
+``shutdown`` replies hand over their stats when the pool is rebuilt.
 """
 
 from __future__ import annotations
@@ -86,11 +96,10 @@ CHUNK_SIZE = 4096
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Commands whose reply piggybacks the worker's accumulated stats
-#: delta (maintenance writes plus the explicit pull).
-_STATS_COMMANDS = frozenset(
-    {"apply", "apply_columns", "rebuild", "pull_stats", "shutdown"}
-)
+#: The only commands whose reply carries the worker's stats (what it
+#: accumulated since the previous pull).  Commits and reads never do:
+#: per-commit stats shipping would cost a pickle each way per worker.
+_STATS_COMMANDS = frozenset({"pull_stats", "shutdown"})
 
 
 class ShardWorkerError(RuntimeError):
@@ -208,7 +217,7 @@ class _WorkerRuntime:
         self._change_epochs: dict[int, int] | None = None
 
     def take_stats(self) -> MaintenanceStats:
-        """Swap in a fresh recorder and return the accumulated delta."""
+        """Swap in a fresh recorder; return the one filled since last pull."""
         delta = self.engine.detach_stats()
         self.engine.attach_stats(
             MaintenanceStats(engine=f"ViewTreeEngine/shard{self.spec.shard}")
@@ -554,14 +563,25 @@ class ShardWorkerPool:
             for worker in self.workers:
                 worker.lock.acquire()
                 acquired.append(worker)
-            sent = [
-                self._send(worker, command)
-                for worker, command in zip(self.workers, commands)
-            ]
-            return [
-                self._collect(worker, bytes_sent)
-                for worker, bytes_sent in zip(self.workers, sent)
-            ]
+            # A failing worker does not stop the round: every worker
+            # that took its command is still collected, so no stale
+            # reply is left in a pipe; the first failure is raised.
+            failure = None
+            sent = []
+            for worker, command in zip(self.workers, commands):
+                try:
+                    sent.append((worker, self._send(worker, command)))
+                except ShardWorkerError as error:
+                    failure = failure or error
+            replies = []
+            for worker, bytes_sent in sent:
+                try:
+                    replies.append(self._collect(worker, bytes_sent))
+                except ShardWorkerError as error:
+                    failure = failure or error
+            if failure is not None:
+                raise failure
+            return replies
         finally:
             for worker in reversed(acquired):
                 worker.lock.release()
@@ -571,7 +591,7 @@ class ShardWorkerPool:
         return self.round([command] * len(self.workers))
 
     def close(self, timeout: float = 5.0) -> list[tuple[int, MaintenanceStats]]:
-        """Shut every worker down; returns ``(shard, final stats delta)``."""
+        """Shut every worker down; returns ``(shard, unpulled stats)``."""
         deltas: list[tuple[int, MaintenanceStats]] = []
         for worker in self.workers:
             with worker.lock:

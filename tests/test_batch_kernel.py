@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.data import Database, Update
+from repro.data import Database, Update, counting
 from repro.data.update import coalesce, coalesce_grouped
 from repro.naive import evaluate
 from repro.query import parse_query, search_order
@@ -96,26 +96,68 @@ class TestCoalesce:
         assert coalesce_grouped([]) == {}
 
 
-class TestAddDelta:
-    def test_matches_sequential_add_with_indexes(self, rng):
-        fused = Database().create("R", ("A", "B"))
-        loop = Database().create("R", ("A", "B"))
-        for relation in (fused, loop):
-            local = random.Random(101)
-            relation.index_on(("B",))
-            for _ in range(40):
-                relation.insert(local.randrange(5), local.randrange(5))
-        entries = []
-        for _ in range(60):
+def _check_add_delta_against_add(seed, publish_between):
+    rng = random.Random(seed)
+    fused = Database().create("R", ("A", "B"))
+    loop = Database().create("R", ("A", "B"))
+    for relation in (fused, loop):
+        local = random.Random(101)
+        relation.index_on(("B",))
+        relation.index_on(("B", "A"))
+        for _ in range(40):
+            relation.insert(local.randrange(5), local.randrange(5))
+
+    def entries(count):
+        # Uncoalesced: delete a present key outright, then re-insert it
+        # in the same call (it must move to the end of its bucket).
+        present = rng.choice(sorted(loop.data))
+        batch = [(present, -loop.data[present]), (present, 1)]
+        for _ in range(count):
             key = (rng.randrange(5), rng.randrange(5))
-            entries.append((key, rng.choice((-1, 1, 2))))
-        fused.add_delta(list(entries))
-        for key, payload in entries:
-            loop.add(key, payload)
-        assert fused.to_dict() == loop.to_dict()
-        assert (
-            fused.index_on(("B",)).groups == loop.index_on(("B",)).groups
-        )
+            batch.append((key, rng.choice((-1, 1, 2))))
+        return batch
+
+    def layout(groups_by_vars):
+        """Groups and buckets in enumeration order, not just as dicts."""
+        return {
+            group_vars: [(group, list(bucket)) for group, bucket in g.items()]
+            for group_vars, g in groups_by_vars.items()
+        }
+
+    def index_layout(relation):
+        return layout({gv: ix.groups for gv, ix in relation._indexes.items()})
+
+    frozen = None
+    for _ in range(2):
+        batch = entries(60)
+        with counting() as fused_ops:
+            fused.add_delta(list(batch))
+        with counting() as loop_ops:
+            for key, payload in batch:
+                loop.add(key, payload)
+        assert fused_ops["write"] == loop_ops["write"]
+        assert list(fused.data.items()) == list(loop.data.items())
+        assert index_layout(fused) == index_layout(loop)
+        if publish_between and frozen is None:
+            frozen = fused.share_version()[1]
+            loop.share_version()
+            before = layout(frozen)
+    if publish_between:
+        assert layout(frozen) == before  # the published version
+        for group_vars in (("B",), ("B", "A")):
+            copied = fused.index_on(group_vars)._cow_copied
+            assert copied == loop.index_on(group_vars)._cow_copied > 0
+
+
+class TestAddDelta:
+    def test_matches_sequential_add_with_indexes(self):
+        """Fused ``add_delta`` (bulk index postings) against one ``add``
+        per entry: same data, same bucket and group order in a one- and
+        a two-position index, same write count, and — across a published
+        version — the same frozen groups and bucket COW copies."""
+        for seed in (0, 1, 2):
+            for publish_between in (False, True):
+                _check_add_delta_against_add(seed, publish_between)
 
     def test_zero_payloads_skipped_and_write_count(self):
         relation = Database().create("R", ("A",))

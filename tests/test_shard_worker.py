@@ -3,8 +3,8 @@
 The tentpole invariant under test: with ``executor="process"`` and the
 default ``ipc="delta"``, the coordinator holds no engine replicas —
 workers keep all view state resident and the pipe carries only each
-shard's slice of the coalesced batch (as columns) out and stats deltas /
-read results back.  Every
+shard's slice of the coalesced batch (as columns) out and read results
+back; stats cross only when pulled.  Every
 read path must stay bit-identical to the serial executor and to the
 ``ipc="pickle-engine"`` oracle (the old ship-the-engine path).
 """
@@ -228,6 +228,33 @@ class TestIpcObservability:
             assert stats.ipc_bytes_sent > 0
             assert stats.ipc_bytes_received > 0
 
+    def test_commit_reply_bytes_small_and_flat(self):
+        """An ``apply_columns`` reply carries the worker's busy time and
+        nothing else (stats are pulled, not shipped per commit): a few
+        dozen bytes per worker, the same while view state grows 8x."""
+        db = fresh_db()
+        workers = 2
+        with ShardedEngine(
+            QUERY, db, shards=workers, executor="process", ipc="delta"
+        ) as engine:
+            stats = engine.attach_stats()
+            per_worker = []
+            for round_no in range(8):
+                base = round_no * 1000  # disjoint keys: state only grows
+                batch = [
+                    Update("R", (base + i, i), 1) for i in range(100)
+                ] + [Update("S", (base + i,), 1) for i in range(100)]
+                before = stats.ipc_bytes_received
+                engine.apply_batch(batch)
+                per_worker.append(
+                    (stats.ipc_bytes_received - before) / workers
+                )
+            assert stats.ipc_commits == 8
+            assert engine.total_view_size() >= 8 * 100
+            assert max(per_worker) <= 128, per_worker
+            assert max(per_worker) - min(per_worker) <= 16, per_worker
+            assert stats.ipc_stats_merge_s == 0.0  # nothing pulled yet
+
     def test_obs_schema_and_render(self):
         db = fresh_db()
         with ShardedEngine(
@@ -257,6 +284,76 @@ class TestIpcObservability:
             summary["batches"] >= 1
             for summary in merged.shard_summaries.values()
         )
+
+
+def _deterministic_counters(merged):
+    """The recorder counters that do not depend on timing."""
+    summaries = {
+        label: {
+            key: summary[key]
+            for key in (
+                "batches",
+                "batch_updates_raw",
+                "batch_updates_coalesced",
+                "sibling_probes",
+            )
+        }
+        for label, summary in merged.shard_summaries.items()
+    }
+    delta_counts = {
+        view: stat.count for view, stat in merged.delta_sizes.items()
+    }
+    return summaries, delta_counts
+
+
+class TestPullOnlyStats:
+    def test_process_counters_match_serial_before_and_after_close(self):
+        """Workers ship stats only when pulled; the pulled totals must
+        equal what serial shards record in-process — both for counters
+        pulled by ``merged_stats`` and for those still unpulled when
+        ``close`` shuts the workers down."""
+        stream = valid_stream(random.Random(21), {"R": 2, "S": 1}, 300)
+        batches = [stream[i:i + 50] for i in range(0, len(stream), 50)]
+        engines = {
+            executor: ShardedEngine(
+                QUERY, fresh_db(random.Random(13), rows=20), shards=3,
+                executor=executor,
+            )
+            for executor in ("serial", "process")
+        }
+        try:
+            for engine in engines.values():
+                engine.attach_stats()
+                for batch in batches[:4]:
+                    engine.apply_batch(batch)
+            expected = _deterministic_counters(
+                engines["serial"].merged_stats()
+            )
+            summaries, delta_counts = expected
+            assert set(summaries) == {"shard0", "shard1", "shard2"}
+            assert all(s["batches"] == 4 for s in summaries.values())
+            assert sum(delta_counts.values()) > 0
+            process = engines["process"]
+            assert _deterministic_counters(process.merged_stats()) == expected
+            # A second pull adds nothing already pulled.
+            assert _deterministic_counters(process.merged_stats()) == expected
+
+            # Commits after the last pull reach the coordinator through
+            # the shutdown replies.
+            for engine in engines.values():
+                for batch in batches[4:]:
+                    engine.apply_batch(batch)
+            expected = _deterministic_counters(
+                engines["serial"].merged_stats()
+            )
+            assert all(
+                s["batches"] == len(batches) for s in expected[0].values()
+            )
+            process.close()
+            assert _deterministic_counters(process.merged_stats()) == expected
+        finally:
+            for engine in engines.values():
+                engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -299,11 +396,40 @@ class TestWorkerCrash:
             assert not engine._worker_pool.broken
             assert stats.ipc_workers_spawned == 6  # 3 at birth + 3 rebuilt
 
+            # Stats are pulled, not shipped per commit.  The surviving
+            # workers handed theirs over at shutdown when the pool was
+            # rebuilt (batches 0 and 1), then their successors added
+            # batch 2.  The killed worker's counters since the last pull
+            # (batch 0) died with it.
+            summaries = engine.merged_stats().shard_summaries
+            assert summaries["shard0"]["batches"] == 3
+            assert summaries["shard2"]["batches"] == 3
+            assert summaries["shard1"]["batches"] == 1
+
             for batch in batches:
                 serial.apply_batch(batch)
             assert dict(engine.enumerate()) == dict(serial.enumerate())
             assert engine.output_relation() == evaluate(QUERY, db)
         serial.close()
+
+    def test_remote_error_in_a_round_keeps_pipes_in_step(self):
+        """A remote error from one worker of a round is raised only
+        after every other worker's reply is read — a reply left in a
+        pipe would answer that worker's next command."""
+        db = fresh_db()
+        with ShardedEngine(
+            QUERY, db, shards=2, executor="process", ipc="delta"
+        ) as engine:
+            engine.apply_batch([Update("R", (1, 2), 3), Update("S", (1,), 5)])
+            pool = engine._worker_pool
+            with pytest.raises(ShardWorkerError, match="unknown worker"):
+                pool.round([("no_such_command",), ("pull_stats",)])
+            assert not pool.broken
+            sizes = [
+                pool.call(shard, ("total_view_size",)).payload
+                for shard in range(2)
+            ]
+            assert sum(sizes) == engine.total_view_size() > 0
 
     def test_remote_error_does_not_break_the_pool(self):
         """An application-level error inside a worker (bad command)
@@ -368,12 +494,16 @@ class TestWorkerLifecycle:
         with ShardedEngine(
             QUERY, db, shards=2, executor="process", ipc="delta"
         ) as engine:
+            engine.attach_stats()
             engine.apply(Update("R", (3, 3), 2))
             blob = pickle.dumps(engine)
             expected = dict(engine.enumerate())
         clone = pickle.loads(blob)
         try:
             assert clone._worker_pool is None  # respawns lazily
+            # Pickling pulled the workers' stats into the copy.
+            summaries = clone.merged_stats().shard_summaries
+            assert sum(s["updates"] for s in summaries.values()) == 1
             assert dict(clone.enumerate()) == expected
         finally:
             clone.close()
