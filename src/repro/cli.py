@@ -27,9 +27,11 @@ the read path (generic recursive enumeration instead of the compiled
 EnumPlan kernel); ``--no-codegen`` keeps the compiled plans but runs
 them interpreted instead of as exec-generated source kernels.
 
-``explain`` prints the chosen plan, and with ``--kernel-source`` dumps
-the generated Python source of every delta/enumeration kernel the plan
-would run — the ground truth for what the codegen layer executes.
+``explain`` prints the chosen plan and, for view-tree plans, the view
+tree with each leaf marked ``materialized`` (and why) or ``base table``;
+with ``--kernel-source`` it also dumps the generated Python source of
+every delta/enumeration kernel the plan would run — the ground truth
+for what the codegen layer executes.
 
 ``benchplot`` renders ``repro.bench/1`` JSON records as grouped bar
 charts — PNG when matplotlib is available, ASCII bar tables otherwise,
@@ -387,6 +389,8 @@ def run_explain(
 ) -> int:
     """Print the maintenance plan, optionally with generated kernel source.
 
+    View-tree plans also print their view trees (built over empty
+    relations), so which leaves are materialized shows without data.
     Kernel source is a pure function of the plan *shape* (step structure
     plus ring identity), so the dump over empty relations is exactly the
     code a populated engine of the same shape executes — deterministic
@@ -404,12 +408,6 @@ def run_explain(
     plan = plan_maintenance(query, fds, insert_only)
     print(f"query: {query}")
     print(f"plan:  {plan}")
-    if not kernel_source:
-        return 0
-    if not plan.codegen:
-        print()
-        print("no generated kernels: the plan runs without codegen")
-        return 0
 
     db = Database()
     for atom in query.atoms:
@@ -427,6 +425,17 @@ def run_explain(
         trees = [backend]
     else:
         trees = []
+    for index, tree in enumerate(trees):
+        prefix = f"component {index} " if len(trees) > 1 else ""
+        print()
+        print(f"-- {prefix}view tree --")
+        print(tree.describe())
+    if not kernel_source:
+        return 0
+    if not plan.codegen:
+        print()
+        print("no generated kernels: the plan runs without codegen")
+        return 0
     dumped = 0
     for index, tree in enumerate(trees):
         prefix = f"component {index} " if len(trees) > 1 else ""

@@ -58,14 +58,20 @@ def coalesce_columnar(
         return _coalesce_numeric(batch, ring)
     grouped: dict[str, dict[tuple, Any]] = {}
     add = ring.add
+    # Rings whose ``add`` is Python ``+`` fold inline (see
+    # Semiring.add_operator): one bytecode instead of a call per repeat.
+    plus = ring.add_operator == "+"
     for update in batch:
         deltas = grouped.get(update.relation)
         if deltas is None:
             deltas = grouped[update.relation] = {}
         previous = deltas.get(update.key)
-        deltas[update.key] = (
-            update.payload if previous is None else add(previous, update.payload)
-        )
+        if previous is None:
+            deltas[update.key] = update.payload
+        elif plus:
+            deltas[update.key] = previous + update.payload
+        else:
+            deltas[update.key] = add(previous, update.payload)
     is_zero = ring.is_zero
     exact = ring.exact_zero
     zero = ring.zero

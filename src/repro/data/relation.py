@@ -384,9 +384,12 @@ class Relation:
         ring = self.ring
         is_zero = ring.is_zero
         ring_add = ring.add
-        # Inline the zero test for exact-zero rings (see Semiring.exact_zero):
-        # one comparison instead of a Python call per entry.
+        # Inline the zero test for exact-zero rings (see Semiring.exact_zero)
+        # and the addition for rings whose ``add`` is Python ``+`` (see
+        # Semiring.add_operator): one bytecode instead of a Python call
+        # per entry.
         exact = ring.exact_zero
+        plus = ring.add_operator == "+"
         zero = ring.zero
         if self._cow:
             self._unshare()
@@ -407,7 +410,7 @@ class Relation:
                     if postings is not None:
                         postings.append((key, True))
                     continue
-                new = ring_add(old, payload)
+                new = (old + payload) if plus else ring_add(old, payload)
                 if (new == zero) if exact else is_zero(new):
                     del data[key]
                     if postings is not None:
@@ -529,7 +532,29 @@ class Relation:
         This is the probe the join operators and the compiled delta
         kernels use; :meth:`group` + :meth:`get` would count (and pay) an
         extra hash probe per matching pair.
+
+        When ``variables`` cover the whole schema a group holds at most
+        one key, so the group is one ``data`` probe (same op counts) and
+        no index is built — such an index would only cost every later
+        write a posting and every publish a frozen copy.
         """
+        variables = tuple(variables)
+        schema_vars = self.schema.variables
+        if variables == schema_vars or (
+            len(variables) == len(schema_vars)
+            and set(variables) == self.schema.as_set()
+        ):
+            if variables != schema_vars:
+                # Reorder the group key into schema order.
+                group_key = tuple(
+                    group_key[variables.index(v)] for v in schema_vars
+                )
+            COUNTER.bump("lookup")
+            payload = self.data.get(group_key)
+            if payload is not None:
+                COUNTER.bump("enum")
+                yield group_key, payload
+            return
         index = self.index_on(variables)
         COUNTER.bump("lookup")
         data = self.data

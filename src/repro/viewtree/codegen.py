@@ -130,7 +130,7 @@ def _delta_shape(plan: DeltaPlan) -> tuple:
     return (
         "delta",
         ring_identity(plan.ring),
-        len(plan.leaf.schema.variables),
+        plan.arity,
         tuple(
             (
                 tuple(
@@ -276,20 +276,19 @@ def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
 
     ``map(itemgetter(...), keys)`` runs a projection at C speed; the
     batch emitter uses one per non-trivial probe (``PG_{s}_{j}``) and per
-    non-identity marginalization (``OG_{s}``, lift-free only — lifting
+    keyed marginalization (``OG_{s}``, lift-free only — lifting
     needs the full key in the loop).  Computed once here so the env
     builder and the emitter agree exactly on which getters exist.
     """
     getters: dict[str, tuple[int, ...]] = {}
-    arity = len(plan.leaf.schema.variables)
+    arity = plan.arity
     for s, step in enumerate(plan.steps):
         for j, join in enumerate(step.siblings):
             full_key = len(join.probe_positions) == arity
             if join.mode != CROSS and join.probe_positions and not full_key:
                 getters[f"PG_{s}_{j}"] = join.probe_positions
             arity += len(join.extend_positions)
-        identity = step.out_positions == tuple(range(arity))
-        if step.out_positions and not identity and step.lift is None:
+        if step.out_positions and step.lift is None:
             getters[f"OG_{s}"] = step.out_positions
         arity = len(step.out_positions)
     return getters
@@ -364,7 +363,7 @@ def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
             w.emit("dk = key")
             w.emit("dp = payload")
             single = True
-            arity = len(plan.leaf.schema.variables)
+            arity = plan.arity
             for s, step in enumerate(plan.steps):
                 w.emit(f"# step {s} ({step.variable})")
                 for j, join in enumerate(step.siblings):
@@ -548,16 +547,52 @@ def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     w.emit('COUNTER.bump("enum", matches)')
 
 
+def _emit_postings_flush(w: _Writer, posts: str, rel: str) -> None:
+    """Hand a sink's ordered ``(key, inserted)`` postings to each index.
+
+    One :meth:`~repro.data.relation.GroupIndex.apply_postings` call per
+    index, as in :meth:`Relation.add_delta`; ``posts`` is ``None`` (or
+    empty) when the relation has no index or nothing entered or left.
+    """
+    w.emit(f"if {posts}:")
+    with w.block():
+        w.emit(f"for ix in {rel}._indexes.values():")
+        with w.block():
+            w.emit(f"ix.apply_postings({posts})")
+
+
+def _emit_indexed_choice(w: _Writer, body) -> None:
+    """Emit ``body`` twice: collecting index postings, and without.
+
+    The indexed copy collects postings in write order and flushes them
+    in a ``finally``, so the indexes agree with the written entries even
+    when a ring operation raises mid-sink.
+    """
+    w.emit("if vrel._indexes:")
+    with w.block():
+        w.emit("posts = []")
+        w.emit("post = posts.append")
+        w.emit("try:")
+        with w.block():
+            body(True)
+        w.emit("finally:")
+        with w.block():
+            _emit_postings_flush(w, "posts", "vrel")
+    w.emit("else:")
+    with w.block():
+        body(False)
+
+
 def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
     """Inline one fused view/guard write pass over ``zip(dks, dps)``.
 
     This is :meth:`Relation.add_delta` unrolled in place — same
     copy-on-write unshare, same ``old -> ring_add -> cancel-or-write``
-    sequence, same index postings, same one-bulk-``write`` accounting —
-    minus the per-entry zero test (every payload reaching a sink is
-    already non-zero) and the per-entry ring/method calls.  Group
-    indexes (guards of enum-compiled trees carry one) take the indexed
-    loop; bare views take the tight one.
+    sequence, same bulk index postings, same one-bulk-``write``
+    accounting — minus the per-entry zero test (every payload reaching a
+    sink is already non-zero) and the per-entry ring/method calls.
+    Group indexes (guards of enum-compiled trees carry one) take the
+    indexed loop; bare views take the tight one.
     """
     w.emit(f"vrel = {rel}")
     w.emit("if vrel._cow:")
@@ -565,7 +600,6 @@ def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
         w.emit("vrel._unshare()")
     w.emit("vdata = vrel.data")
     w.emit("vget = vdata.get")
-    w.emit("if vrel._indexes:")
 
     def body(indexed: bool) -> None:
         w.emit("for dk, dp in zip(dks, dps):")
@@ -578,28 +612,19 @@ def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
             with w.block():
                 w.emit(f"vdata[{vk}] = dp")
                 if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.add({vk})")
+                    w.emit(f"post(({vk}, True))")
                 w.emit("continue")
             w.emit(f"new = {ops.add('old', 'dp')}")
             w.emit(f"if {ops.is_zero('new')}:")
             with w.block():
                 w.emit(f"del vdata[{vk}]")
                 if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.remove({vk})")
+                    w.emit(f"post(({vk}, False))")
             w.emit("else:")
             with w.block():
                 w.emit(f"vdata[{vk}] = new")
 
-    with w.block():
-        w.emit("ixs = list(vrel._indexes.values())")
-        body(indexed=True)
-    w.emit("else:")
-    with w.block():
-        body(indexed=False)
+    _emit_indexed_choice(w, body)
     # Dirty-key oracle (Relation.track_dirty): re-read per call so
     # enabling change tracking after kernel generation still takes, and
     # recompute the projection only on the tracked path.
@@ -636,7 +661,6 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
     w.emit("dps = []")
     w.emit("ka = dks.append")
     w.emit("pa = dps.append")
-    w.emit("if vrel._indexes:")
     vk = "vk" if wrap else "okey"
 
     def body(indexed: bool) -> None:
@@ -654,28 +678,19 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
             with w.block():
                 w.emit(f"vdata[{vk}] = dp")
                 if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.add({vk})")
+                    w.emit(f"post(({vk}, True))")
                 w.emit("continue")
             w.emit(f"new = {ops.add('old', 'dp')}")
             w.emit(f"if {ops.is_zero('new')}:")
             with w.block():
                 w.emit(f"del vdata[{vk}]")
                 if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.remove({vk})")
+                    w.emit(f"post(({vk}, False))")
             w.emit("else:")
             with w.block():
                 w.emit(f"vdata[{vk}] = new")
 
-    with w.block():
-        w.emit("ixs = list(vrel._indexes.values())")
-        body(indexed=True)
-    w.emit("else:")
-    with w.block():
-        body(indexed=False)
+    _emit_indexed_choice(w, body)
     w.emit("if dks:")
     with w.block():
         # ``dks`` is exactly the set of view keys written above, so the
@@ -714,19 +729,18 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
         with w.block():
             w.emit("dks = keys")
             w.emit("dps = pays")
-            arity = len(plan.leaf.schema.variables)
+            arity = plan.arity
             for s, step in enumerate(plan.steps):
                 w.emit(f"# step {s} ({step.variable})")
                 final_arity = arity + sum(
                     len(jn.extend_positions) for jn in step.siblings
                 )
+                # The view drops the node variable, which the step's
+                # delta key always holds, so the marginalization is never
+                # the identity: it either folds to one scalar or
+                # aggregates by key.
                 oproj = _proj("dk", step.out_positions, final_arity)
-                if oproj == "dk" and step.lift is None:
-                    kind = "identity"
-                elif not step.out_positions:
-                    kind = "scalar"
-                else:
-                    kind = "agg"
+                kind = "scalar" if not step.out_positions else "agg"
                 # When the step joins siblings, its *last* stage loop can
                 # absorb the guard write and the marginalization
                 # accumulate: each survivor is written/aggregated on the
@@ -744,13 +758,13 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                 )
 
                 def emit_entry_write(
-                    data: str, ixs: str, key: str, get: str, dirty: str
+                    data: str, posts: str, key: str, get: str, dirty: str
                 ) -> None:
                     # One Relation.add_delta entry inline; COW unshare,
-                    # the bound ``.get``, the index list, and the dirty
-                    # set are hoisted by the prologue.  ``ixs`` is
-                    # usually empty, so the posting loops cost one
-                    # iterator setup on the new/cancel paths only.
+                    # the bound ``.get``, the postings list, and the
+                    # dirty set are hoisted by the prologue.  ``posts``
+                    # is usually ``None`` (no index), so postings cost
+                    # one test on the new/cancel paths only.
                     w.emit(f"if {dirty} is not None:")
                     with w.block():
                         w.emit(f"{dirty}.add({key})")
@@ -758,18 +772,18 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     w.emit("if old is None:")
                     with w.block():
                         w.emit(f"{data}[{key}] = prod")
-                        w.emit(f"for ix in {ixs}:")
+                        w.emit(f"if {posts} is not None:")
                         with w.block():
-                            w.emit(f"ix.add({key})")
+                            w.emit(f"{posts}.append(({key}, True))")
                     w.emit("else:")
                     with w.block():
                         w.emit(f"new = {ops.add('old', 'prod')}")
                         w.emit(f"if {ops.is_zero('new')}:")
                         with w.block():
                             w.emit(f"del {data}[{key}]")
-                            w.emit(f"for ix in {ixs}:")
+                            w.emit(f"if {posts} is not None:")
                             with w.block():
-                                w.emit(f"ix.remove({key})")
+                                w.emit(f"{posts}.append(({key}, False))")
                         w.emit("else:")
                         with w.block():
                             w.emit(f"{data}[{key}] = new")
@@ -783,22 +797,9 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                             w.emit("grel._unshare()")
                         w.emit("gdata = grel.data")
                         w.emit("gget = gdata.get")
-                        w.emit("gixs = list(grel._indexes.values())")
+                        w.emit("gposts = [] if grel._indexes else None")
                         w.emit("gdirty = grel._dirty")
-                    if kind == "identity":
-                        w.emit(f"vrel = VREL_{s}")
-                        w.emit("if vrel._cow:")
-                        with w.block():
-                            w.emit("vrel._unshare()")
-                        w.emit("vdata = vrel.data")
-                        w.emit("vget = vdata.get")
-                        w.emit("vixs = list(vrel._indexes.values())")
-                        w.emit("vdirty = vrel._dirty")
-                        w.emit("out_k = []")
-                        w.emit("out_p = []")
-                        w.emit("ka = out_k.append")
-                        w.emit("pa = out_p.append")
-                    elif kind == "scalar":
+                    if kind == "scalar":
                         if ops.add_op == "+":
                             # The ZERO seed is additively inert under
                             # Python ``+`` (the sum() argument below).
@@ -820,12 +821,8 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                         if gexpr != key:
                             w.emit(f"gk = {gexpr}")
                             gk = "gk"
-                        emit_entry_write("gdata", "gixs", gk, "gget", "gdirty")
-                    if kind == "identity":
-                        w.emit(f"ka({key})")
-                        w.emit("pa(prod)")
-                        emit_entry_write("vdata", "vixs", key, "vget", "vdirty")
-                    elif kind == "scalar":
+                        emit_entry_write("gdata", "gposts", gk, "gget", "gdirty")
+                    if kind == "scalar":
                         if step.lift is not None:
                             w.emit(
                                 "prod = "
@@ -875,14 +872,7 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                         w.emit("return")
                     if step.guard is not None:
                         w.emit('COUNTER.bump("write", n)')
-                    if kind == "identity":
-                        w.emit('COUNTER.bump("write", n)')
-                        w.emit("dks = out_k")
-                        w.emit("dps = out_p")
-                        w.emit("if stats is not None:")
-                        with w.block():
-                            w.emit(f"stats.record_delta(LBL_{s}, n)")
-                    elif kind == "scalar":
+                    if kind == "scalar":
                         w.emit(f"if {ops.nonzero('tot')}:")
                         with w.block():
                             w.emit("dks = [()]")
@@ -926,9 +916,15 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     mapped = join.probe_positions and not full_key
                     scalar = len(join.probe_positions) == 1
                     miss_key = "(pk,)" if scalar else "pk"
+                    # A fused stage writes its node's guard (siblings mean
+                    # several sources, hence a guard) and collects the
+                    # guard's index postings; the ``finally`` hands them
+                    # over even if a ring operation raises.
+                    if fused_stage:
+                        emit_fused_prologue()
+                        w.emit("try:")
+                        w.indent += 1
                     if join.mode == DIRECT:
-                        if fused_stage:
-                            emit_fused_prologue()
                         w.emit(f"data = REL_{s}_{j}.data")
                         if not fused_stage:
                             w.emit("out_k = []")
@@ -988,8 +984,6 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                                     w.emit("pa(prod)")
                     elif join.mode == INDEXED:
                         extend = _proj("sk", join.extend_positions)
-                        if fused_stage:
-                            emit_fused_prologue()
                         w.emit(f"groups = IDX_{s}_{j}.groups")
                         w.emit(f"data = REL_{s}_{j}.data")
                         if not fused_stage:
@@ -1064,6 +1058,10 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                                 w.emit(f"ka(dk + {extend})")
                                 w.emit("pa(prod)")
                     if fused_stage:
+                        w.indent -= 1
+                        w.emit("finally:")
+                        with w.block():
+                            _emit_postings_flush(w, "gposts", "grel")
                         emit_fused_epilogue()
                     else:
                         w.emit("dks = out_k")
@@ -1081,16 +1079,7 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     gproj = _proj("dk", step.guard_positions, arity)
                     _emit_sink(w, ops, f"GREL_{s}", gproj)
 
-                if oproj == "dk" and step.lift is None:
-                    # Identity marginalization: distinct keys, nothing to
-                    # aggregate, payloads already non-zero (the incoming
-                    # delta is coalesced and every stage filters zeros) —
-                    # the view write is the only remaining effect.
-                    _emit_sink(w, ops, f"VREL_{s}", "dk")
-                    w.emit("if stats is not None:")
-                    with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, len(dks))")
-                elif not step.out_positions:
+                if not step.out_positions:
                     # Scalar marginalization (aggregation tail): every key
                     # projects to ``()``, so the whole "aggregate by key"
                     # dict degenerates to one left-fold over the payload
@@ -1141,7 +1130,7 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                         with w.block():
                             w.emit("return")
                 else:
-                    use_og = step.lift is None and oproj != "dk"
+                    use_og = step.lift is None
                     # ``add_operator = "+"`` rings accumulate with a
                     # branch-free ``get(okey, ZERO) + dp`` — the ZERO
                     # seed is additively inert under Python ``+`` (the

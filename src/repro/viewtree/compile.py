@@ -181,19 +181,26 @@ class PlanStep:
 
 
 class DeltaPlan:
-    """The compiled leaf-to-root propagation path for one anchor."""
+    """The compiled leaf-to-root propagation path for one anchor.
 
-    __slots__ = ("relation_name", "leaf", "steps", "ring")
+    ``leaf`` is the anchor's materialized leaf, or ``None`` when the leaf
+    is served from the base table; ``arity`` is the anchor atom's arity,
+    the width of the delta keys the plan consumes.
+    """
+
+    __slots__ = ("relation_name", "leaf", "arity", "steps", "ring")
 
     def __init__(
         self,
         relation_name: str,
-        leaf: Relation,
+        leaf: Optional[Relation],
+        arity: int,
         steps: tuple[PlanStep, ...],
         ring: Semiring,
     ):
         self.relation_name = relation_name
         self.leaf = leaf
+        self.arity = arity
         self.steps = steps
         self.ring = ring
 
@@ -527,7 +534,9 @@ def compile_anchor_plan(engine, atom, node, leaf) -> DeltaPlan:
     lifting = engine.lifting
     steps: list[PlanStep] = []
     delta_vars: tuple[str, ...] = atom.variables
-    exclude: Relation = leaf
+    # A leaf served from the base table (None) is alone at its node, so
+    # the first step has no sibling to exclude.
+    exclude: Optional[Relation] = leaf
     current = node
     while current is not None:
         siblings = []
@@ -565,7 +574,9 @@ def compile_anchor_plan(engine, atom, node, leaf) -> DeltaPlan:
         delta_vars = view.schema.variables
         exclude = view
         current = current.parent
-    return DeltaPlan(atom.relation, leaf, tuple(steps), ring)
+    return DeltaPlan(
+        atom.relation, leaf, len(atom.variables), tuple(steps), ring
+    )
 
 
 def compile_delta_plans(engine) -> dict[str, list[DeltaPlan]]:

@@ -3,8 +3,14 @@
 A view tree materializes, for each node of a variable order, the aggregate
 of the join of everything below the node.  Following F-IVM:
 
-* each query atom becomes a *leaf* relation of the tree (a live copy of
-  the database relation, renamed to the atom's variables);
+* each query atom becomes a *leaf* of the tree: the database relation
+  under the atom's variables.  A leaf is materialized as a private copy
+  only where something reads it — at a free node (enumeration and
+  lookups walk it), next to another source (sibling deltas probe it),
+  or under a shard's leaf filter.  Any other leaf sits alone at a bound
+  node, where no delta plan, enumeration or lookup reads it, so it is
+  served from the base table itself and each committed tuple is written
+  once;
 * the view at node ``X`` has schema ``dep(X)`` — the node's dependency
   set — and aggregates away ``X`` from the join of the node's children
   views and anchored leaves;
@@ -74,16 +80,24 @@ class ViewNode:
         self.is_free = is_free
         self.children: list[ViewNode] = []
         self.parent: Optional[ViewNode] = None
-        #: (atom, leaf relation) pairs anchored at this node.
-        self.leaves: list[tuple[Atom, Relation]] = []
+        #: (atom, leaf relation) pairs anchored at this node; the leaf is
+        #: ``None`` when it is served from the base table (see
+        #: ViewTreeEngine._make_leaf).
+        self.leaves: list[tuple[Atom, Relation | None]] = []
         #: The node view V_X over dep(X) (X marginalized away).
         self.view: Relation | None = None
         #: Materialized pre-marginalization join, when >1 source exists.
         self.guard: Relation | None = None
 
     def sources(self) -> list[Relation]:
-        """The relations joined at this node: anchored leaves + child views."""
-        result = [leaf for _, leaf in self.leaves]
+        """The materialized relations joined at this node.
+
+        Anchored leaves plus child views.  A leaf served from the base
+        table is left out: it sits alone at its node, so no sibling join
+        or enumeration ever reads it (build and rebuild read it through
+        :meth:`ViewTreeEngine._node_sources`).
+        """
+        result = [leaf for _, leaf in self.leaves if leaf is not None]
         result.extend(child.view for child in self.children)
         return result
 
@@ -146,10 +160,14 @@ class ViewTreeEngine(Observable):
         its own labelled recorder.
 
         ``leaf_filter`` is an optional ``(relation_name, key) -> bool``
-        predicate; when given, leaves materialize only the base tuples it
-        accepts.  Combined with ``apply(update, update_base=False)`` this
-        lets several engines share one database, each maintaining a
-        disjoint hash shard of it.
+        predicate; when given, every leaf is materialized and holds only
+        the base tuples it accepts.  Combined with ``apply(update,
+        update_base=False)`` this lets several engines share one
+        database, each maintaining a disjoint hash shard of it.  Without
+        it, a leaf nothing reads is the base table itself, which the
+        engine keeps current with ``update_base=True`` and a caller
+        passing ``update_base=False`` must write before (or while) it
+        applies.
 
         ``compile_plans`` pre-compiles one :class:`~repro.viewtree.compile.
         DeltaPlan` per (base relation, anchor) pair so single-tuple
@@ -287,15 +305,18 @@ class ViewTreeEngine(Observable):
             var_node.variable in self.query.free_variables,
         )
         node.parent = parent
+        materialize = self._leaf_reason(
+            node.is_free, len(var_node.atoms) + len(var_node.children)
+        ) is not None
         for atom in var_node.atoms:
-            leaf = self._make_leaf(atom)
+            leaf = self._make_leaf(atom, materialize)
             node.leaves.append((atom, leaf))
             self._anchors.setdefault(atom.relation, []).append((atom, node, leaf))
         for child in var_node.children:
             node.children.append(self._build_node(child, node))
 
-        sources = node.sources()
-        joined = join_all(sources, self.ring, name=f"G_{node.variable}")
+        sources = self._node_sources(node)
+        joined = self._join_sources(node, sources)
         if len(sources) > 1:
             node.guard = joined
         lift = None
@@ -307,13 +328,41 @@ class ViewTreeEngine(Observable):
         )
         return node
 
-    def _make_leaf(self, atom: Atom) -> Relation:
+    def _leaf_reason(self, is_free: bool, sources: int) -> str | None:
+        """Why the leaves of a node are materialized, or ``None``.
+
+        ``sources`` counts the node's anchored atoms plus its children.
+        Enumeration, guards and lookups walk a free node's leaves; a
+        sibling delta probes a leaf that shares its node with another
+        source; a shard engine's leaves hold only its slice.  A leaf
+        for none of these reasons is served from the base table.
+        """
+        if is_free:
+            return "free node"
+        if sources > 1:
+            return "sibling probe"
+        if self._leaf_filter is not None:
+            return "shard filter"
+        return None
+
+    def _make_leaf(self, atom: Atom, materialize: bool) -> Relation | None:
+        """The leaf of ``atom``: a private copy, or ``None``.
+
+        A materialized leaf copies the database relation (the tuples the
+        leaf filter accepts) under the atom's variables and is written
+        by every apply.  Otherwise the leaf's content is exactly
+        ``database[atom.relation]``, kept current by this engine
+        (``update_base=True``) or by its caller, and build and rebuild
+        read it through :meth:`_base_leaf`.
+        """
         base = self.database[atom.relation]
         if len(atom.variables) != len(base.schema):
             raise ValueError(
                 f"atom {atom} arity does not match relation "
                 f"{base.schema.variables!r}"
             )
+        if not materialize:
+            return None
         leaf = Relation(f"leaf_{atom}", Schema(atom.variables), self.ring)
         if self._leaf_filter is None:
             leaf.data = dict(base.data)
@@ -325,6 +374,36 @@ class ViewTreeEngine(Observable):
                 if keep(atom.relation, key)
             }
         return leaf
+
+    def _base_leaf(self, atom: Atom) -> Relation:
+        """``database[atom.relation]`` under the atom's variables, read-only.
+
+        Shares the base relation's payload dict — no copy, no index — so
+        it is only ever iterated (by build and rebuild), never written.
+        """
+        leaf = Relation(f"leaf_{atom}", Schema(atom.variables), self.ring)
+        leaf.data = self.database[atom.relation].data
+        return leaf
+
+    def _node_sources(self, node: ViewNode) -> list[Relation]:
+        """Every relation joined at ``node``, base-table leaves included."""
+        sources = [
+            leaf if leaf is not None else self._base_leaf(atom)
+            for atom, leaf in node.leaves
+        ]
+        sources.extend(child.view for child in node.children)
+        return sources
+
+    def _join_sources(
+        self, node: ViewNode, sources: list[Relation]
+    ) -> Relation:
+        """The pre-marginalization join of ``sources`` (never written).
+
+        A lone source is its own join: only the marginalization reads it.
+        """
+        if len(sources) == 1:
+            return sources[0]
+        return join_all(sources, self.ring, name=f"G_{node.variable}")
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -355,7 +434,8 @@ class ViewTreeEngine(Observable):
             for (_atom, _node, leaf), plan, kernel in zip(
                 self._anchors[relation], plans, kernels
             ):
-                leaf.add(key, payload)
+                if leaf is not None:
+                    leaf.add(key, payload)
                 if kernel is not None:
                     kernel.push(key, payload, stats)
                 else:
@@ -368,9 +448,10 @@ class ViewTreeEngine(Observable):
     def _apply_generic(self, relation: str, key: tuple, payload: Any) -> None:
         """One tuple through the generic :meth:`_propagate` interpretation."""
         for atom, node, leaf in self._anchors.get(relation, ()):
-            delta = Relation(f"d_{atom}", leaf.schema, self.ring)
+            delta = Relation(f"d_{atom}", Schema(atom.variables), self.ring)
             delta.add(key, payload)
-            leaf.add(key, payload)
+            if leaf is not None:
+                leaf.add(key, payload)
             self._propagate(node, delta, exclude=leaf)
 
     @observed
@@ -388,9 +469,9 @@ class ViewTreeEngine(Observable):
 
         1. **rebuild** — with ``rebuild_factor`` set, a batch larger than
            ``rebuild_factor * |leaves|`` skips propagation: updates land
-           on the leaves directly and all views are rebuilt bottom-up in
-           one pass (see the batch-rebuild ablation bench for the
-           crossover);
+           on the base tables and materialized leaves directly and all
+           views are rebuilt bottom-up in one pass (see the batch-rebuild
+           ablation bench for the crossover);
         2. **compiled batch** — with compiled plans and at least
            ``batch_compile_threshold`` updates, the batch is coalesced
            (same-key deltas ring-summed, cancellations dropped) and each
@@ -452,18 +533,25 @@ class ViewTreeEngine(Observable):
         if rebuild_factor is None:
             return False
         # Count each base relation once: a relation anchored at several
-        # atoms contributes one leaf copy per atom, and summing every
-        # copy inflated the crossover against batches measured in
-        # distinct database tuples.
-        leaf_size = sum(
-            len(anchors[0][2]) for anchors in self._anchors.values()
-        )
+        # atoms contributes one leaf per atom, and summing every leaf
+        # inflated the crossover against batches measured in distinct
+        # database tuples.  A leaf served from the base table counts the
+        # base table's size.
+        leaf_size = 0
+        for (atom, _node, leaf), *_ in self._anchors.values():
+            leaf_size += len(
+                leaf if leaf is not None else self.database[atom.relation]
+            )
         return count >= rebuild_factor * max(leaf_size, 1)
 
     def _apply_columns(
         self, columns, update_base: bool, rebuild: bool, count: int
     ) -> None:
         """The shared batch body: base writes, leaf writes, delta pushes.
+
+        Only materialized leaves are written here; a leaf served from
+        the base table is current once the base write (this engine's
+        with ``update_base``, or the caller's) has landed.
 
         Correctness rests on two facts.  Update batches over a ring
         commute, so ring-summing same-key deltas and regrouping by
@@ -477,8 +565,9 @@ class ViewTreeEngine(Observable):
         anchors of the same relation see the earlier leaves' post-batch
         state, matching the per-tuple interleaving's sum).
 
-        With ``rebuild`` set the columns only land on the leaves, and
-        every view is recomputed bottom-up afterwards.
+        With ``rebuild`` set the columns only land on the base tables and
+        materialized leaves, and every view is recomputed bottom-up
+        afterwards.
         """
         stats = self._maintenance_stats
         database = self.database
@@ -489,7 +578,8 @@ class ViewTreeEngine(Observable):
             plans = self._plans.get(name)
             if rebuild:
                 for _atom, _node, leaf in anchors:
-                    leaf.add_delta(zip(keys, pays))
+                    if leaf is not None:
+                        leaf.add_delta(zip(keys, pays))
             elif plans is None:
                 for key, payload in zip(keys, pays):
                     self._apply_generic(name, key, payload)
@@ -501,7 +591,8 @@ class ViewTreeEngine(Observable):
                 for (_atom, _node, leaf), plan, kernel in zip(
                     anchors, plans, kernels
                 ):
-                    leaf.add_delta(zip(keys, pays))
+                    if leaf is not None:
+                        leaf.add_delta(zip(keys, pays))
                     if kernel is not None:
                         kernel.push_batch(keys, pays, stats)
                     else:
@@ -518,15 +609,19 @@ class ViewTreeEngine(Observable):
             self._maybe_sample_views(count)
 
     def rebuild(self) -> None:
-        """Recompute every guard and view from the current leaves."""
+        """Recompute every guard and view from the current leaves.
+
+        Materialized leaves are read as they stand; every other leaf is
+        read straight from its base table, which must therefore be
+        current (see ``leaf_filter`` in the constructor).
+        """
         for root in self.roots:
             self._rebuild_node(root)
 
     def _rebuild_node(self, node: ViewNode) -> None:
         for child in node.children:
             self._rebuild_node(child)
-        sources = node.sources()
-        joined = join_all(sources, self.ring, name=f"G_{node.variable}")
+        joined = self._join_sources(node, self._node_sources(node))
         if node.guard is not None:
             node.guard.clear()
             union_into(node.guard, joined)
@@ -574,14 +669,19 @@ class ViewTreeEngine(Observable):
     # ------------------------------------------------------------------
 
     def _snapshot_relations(self) -> Iterator[Relation]:
-        """Every relation a read path can touch: views, guards, leaves."""
+        """Every relation a read path can touch: views, guards, leaves.
+
+        Leaves served from the base table are not among them: no read
+        path touches them.
+        """
         for root in self.roots:
             for node in root.walk():
                 yield node.view
                 if node.guard is not None:
                     yield node.guard
                 for _, leaf in node.leaves:
-                    yield leaf
+                    if leaf is not None:
+                        yield leaf
 
     def publish_epoch(self, record: bool = True) -> EpochSnapshot:
         """Freeze the current committed state as the next readable epoch.
@@ -973,7 +1073,8 @@ class ViewTreeEngine(Observable):
     # ------------------------------------------------------------------
 
     def total_view_size(self) -> int:
-        """Number of entries across all materialized views and guards."""
+        """Number of entries across all materialized views, guards and
+        leaves (the engine's own state; base tables are not counted)."""
         total = 0
         for root in self.roots:
             for node in root.walk():
@@ -981,7 +1082,8 @@ class ViewTreeEngine(Observable):
                 if node.guard is not None:
                     total += len(node.guard)
                 for _, leaf in node.leaves:
-                    total += len(leaf)
+                    if leaf is not None:
+                        total += len(leaf)
         return total
 
     def sample_view_sizes(self, stats=None) -> None:
@@ -989,7 +1091,8 @@ class ViewTreeEngine(Observable):
 
         Samples :meth:`total_view_size` plus the size of every node view
         and guard — the space side of the IVM trade-off, exported under
-        ``memory`` in the ``repro.obs/1`` payload.
+        ``memory`` in the ``repro.obs/1`` payload.  Like
+        :meth:`total_view_size` it counts materialized state only.
         """
         stats = stats if stats is not None else self._maintenance_stats
         if stats is None:
@@ -1006,7 +1109,8 @@ class ViewTreeEngine(Observable):
                     per_view[f"G_{node.variable}"] = size
                     total += size
                 for _, leaf in node.leaves:
-                    total += len(leaf)
+                    if leaf is not None:
+                        total += len(leaf)
         stats.record_view_sizes(total, per_view)
 
     def _maybe_sample_views(self, count: int = 1) -> None:
@@ -1024,7 +1128,12 @@ class ViewTreeEngine(Observable):
             self.sample_view_sizes()
 
     def describe(self) -> str:
-        """ASCII rendering of the view tree with sizes."""
+        """ASCII rendering of the view tree with sizes.
+
+        Each leaf line says whether the leaf is ``materialized`` (and
+        why: ``free node``, ``sibling probe`` or ``shard filter``) or
+        served from the ``base table``.
+        """
         lines: list[str] = []
 
         def visit(node: ViewNode, depth: int) -> None:
@@ -1035,8 +1144,16 @@ class ViewTreeEngine(Observable):
                 f"{pad}V_{node.variable}{marker}({dep}) size={len(node.view)}"
                 + (f" guard={len(node.guard)}" if node.guard is not None else "")
             )
+            reason = self._leaf_reason(
+                node.is_free, len(node.leaves) + len(node.children)
+            )
             for atom, leaf in node.leaves:
-                lines.append(f"{pad}  leaf {atom} size={len(leaf)}")
+                if leaf is None:
+                    size = len(self.database[atom.relation])
+                    where = "base table"
+                else:
+                    size, where = len(leaf), f"materialized ({reason})"
+                lines.append(f"{pad}  leaf {atom} size={size} {where}")
             for child in node.children:
                 visit(child, depth + 1)
 

@@ -28,14 +28,30 @@ class TestRebuild:
 
     def test_rebuild_after_direct_leaf_edits(self, rng):
         engine, db = fresh_engine(rng)
-        # Emulate a bulk load straight into the leaves.
+        # Emulate a bulk load straight into the leaves: the materialized
+        # ones (both here: they sit at free nodes) and the base tables.
         for root in engine.roots:
             for node in root.walk():
                 for atom, leaf in node.leaves:
+                    assert leaf is not None
                     leaf.insert(0, 0)
                     db[atom.relation].insert(0, 0)
         engine.rebuild()
         assert engine.output_relation() == evaluate(QUERY, db)
+
+    def test_rebuild_reads_base_table_leaves(self, rng):
+        """Leaves at bound nodes are the base tables themselves: a bulk
+        load into the base is all a rebuild needs."""
+        query = parse_query("Q(Y) = R(Y, X) * S(Y, Z)")
+        _, db = fresh_engine(rng)
+        engine = ViewTreeEngine(query, db)
+        for root in engine.roots:
+            for node in root.walk():
+                for atom, leaf in node.leaves:
+                    assert leaf is None
+                    db[atom.relation].insert(0, 0)
+        engine.rebuild()
+        assert engine.output_relation() == evaluate(query, db)
 
 
 class TestBatchApplication:
